@@ -28,10 +28,9 @@ let tick t () =
       | None -> ())
     t.checks
 
-(* Self-rescheduling defunctionalized tick (checkpoint-safe, unlike a
-   [Sim.every] closure): the payload is the audit itself, the next tick
-   is scheduled after the checks run, mirroring [every]'s stop-aware
-   rescheduling via [Sim.stopped]. *)
+(* Self-rescheduling tick: the payload is the audit itself, the next
+   tick is scheduled after the checks run unless the run was stopped
+   ([Sim.stopped]). *)
 let tick_ev =
   Event.define_rec ~name:"audit.tick" (fun self t ->
       tick t ();

@@ -1,7 +1,7 @@
 (** Opt-in runtime invariant auditing for simulations.
 
     An [Audit.t] runs a set of registered checks on a periodic simulated
-    clock (piggybacking on {!Sim.every}), records any violations with the
+    clock (a self-rescheduling {!Event.define_rec} tick), records any violations with the
     simulation time at which they were observed, and can arm the
     {!Sim.set_watchdog} livelock detector. It never throws: the point is to
     surface silent corruption (NaN propagation, packet-accounting drift,

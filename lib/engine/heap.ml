@@ -133,12 +133,6 @@ let pop t =
 
 let peek_time t = if t.size = 0 then None else Some t.times.(0)
 
-(* Unordered: visits live slots in backing-array order. *)
-let iter t f =
-  for i = 0 to t.size - 1 do
-    f t.times.(i) t.data.(i)
-  done
-
 let clear t =
   if t.size > 0 then Array.fill t.data 0 t.size (dummy ());
   t.size <- 0

@@ -3,7 +3,7 @@
    are byte-identical under either; a direct variant match (predictable
    two-way branch) beats a record of closures on the per-event path.
    Payloads are defunctionalized {!Event.t} records, not closures, so
-   {!Snapshot} can prove every pending event is plain data. *)
+   every pending event is plain data that {!Snapshot} can write. *)
 type sched = S_heap of Event.t Heap.t | S_wheel of Event.t Wheel.t
 
 type t = {
@@ -108,33 +108,14 @@ let at_ev t time ev =
   let time = Units.Time.to_s time in
   if time < t.clock then
     invalid_arg
-      (Printf.sprintf "Sim.at: time %g is before now %g" time t.clock);
+      (Printf.sprintf "Sim.at_ev: time %g is before now %g" time t.clock);
   sched_add t ~time ~seq:t.next_seq ev;
   t.next_seq <- t.next_seq + 1
 
 let after_ev t delay ev =
   let delay = Units.Time.to_s delay in
-  if delay < 0.0 then invalid_arg "Sim.after: negative delay";
+  if delay < 0.0 then invalid_arg "Sim.after_ev: negative delay";
   at_ev t (Units.Time.of_s (t.clock +. delay)) ev
-
-(* Closure forms: each wraps its thunk in an [Event.opaque] branded with
-   the caller-supplied scheduling site. Fine for events that never cross
-   a checkpoint; {!Snapshot.save} rejects pending ones by [site]. *)
-
-let at ?site t time f = at_ev t time (Event.opaque ?site f)
-let after ?site t delay f = after_ev t delay (Event.opaque ?site f)
-
-let every ?site t ?start period f =
-  let period = Units.Time.to_s period in
-  if period <= 0.0 then invalid_arg "Sim.every: period must be positive";
-  let first =
-    match start with Some s -> Units.Time.to_s s | None -> t.clock +. period
-  in
-  let rec tick () =
-    f ();
-    if not t.stopped then after ?site t (Units.Time.of_s period) tick
-  in
-  at ?site t (Units.Time.of_s first) tick
 
 let stop t = t.stopped <- true
 let stopped t = t.stopped
@@ -280,8 +261,8 @@ let[@alloc.zero] rec exec_loop t horizon =
       | Some (budget, trip) when t.instant_events = budget + 1 ->
           watchdog_trip trip t.instant_events time
       | _ -> ());
-      (* The event record itself is charged where it is built (Sim.at /
-         Link / protocol code), not at this indirect dispatch. *)
+      (* The event record itself is charged where it is built (Link /
+         protocol code), not at this indirect dispatch. *)
       Event.exec ev;
       exec_loop t horizon
     end
@@ -301,18 +282,10 @@ let run ?until t =
 let events_executed t = t.executed
 
 module Snapshot = struct
-  exception Opaque_pending of { site : string; time : float; count : int }
   exception Incompatible of string
 
   let () =
     Printexc.register_printer (function
-      | Opaque_pending { site; time; count } ->
-          Some
-            (Printf.sprintf
-               "Sim.Snapshot.Opaque_pending (%d opaque closure event(s) \
-                pending, first scheduled at site %S for t=%g — register \
-                the kind with Event.define, or don't checkpoint this sim)"
-               count site time)
       | Incompatible msg -> Some ("Sim.Snapshot.Incompatible: " ^ msg)
       | _ -> None)
 
@@ -324,24 +297,6 @@ module Snapshot = struct
      a clean [Incompatible] instead of a segfault or silent skew. *)
   let build_digest =
     lazy (Digest.to_hex (Digest.file Sys.executable_name))
-
-  let iter_pending t f =
-    match t.sched with S_heap h -> Heap.iter h f | S_wheel w -> Wheel.iter w f
-
-  let check_no_opaque t =
-    let first = ref None and count = ref 0 in
-    iter_pending t (fun time ev ->
-        match Event.site ev with
-        | None -> ()
-        | Some site -> (
-            incr count;
-            match !first with
-            | None -> first := Some (site, time)
-            | Some _ -> ()));
-    match !first with
-    | Some (site, time) ->
-        raise (Opaque_pending { site; time; count = !count })
-    | None -> ()
 
   (* Store's atomic-commit convention: write to a temp file in the
      destination directory, then rename — readers (and a restore after a
@@ -370,7 +325,6 @@ module Snapshot = struct
     else 0.0
 
   let save t ~world ~path =
-    check_no_opaque t;
     let payload = Marshal.to_string (t, world) [ Marshal.Closures ] in
     let header =
       Printf.sprintf "%s %s %s %.17g\n" magic (Lazy.force build_digest)

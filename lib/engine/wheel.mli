@@ -17,7 +17,7 @@ val add : 'a t -> time:float -> seq:int -> 'a -> unit
 (** Insert an element with priority [(time, seq)]. [@alloc.zero]: never
     allocates except for amortised node-pool doubling and bucket-ring
     resizing. Times must be finite and non-negative (guaranteed by
-    [Sim.at]'s monotonicity check). *)
+    [Sim.at_ev]'s monotonicity check). *)
 
 val pop : 'a t -> (float * int * 'a) option
 (** Remove and return the minimum element, or [None] if empty.
@@ -45,11 +45,6 @@ val pop_min_into : 'a t -> floatarray -> 'a
     time into index 0, seq into index 1 of the caller-owned scratch
     array, payload returned, zero allocations, one call.
     @raise Empty if the queue is empty. *)
-
-val iter : 'a t -> (float -> 'a -> unit) -> unit
-(** [iter t f] calls [f time payload] on every pending element, in
-    unspecified order. Cold-path introspection ({!Sim.Snapshot}'s
-    pre-write scan); must not add or remove elements. *)
 
 val peek_time : 'a t -> float option
 (** Time of the minimum element without removing it.

@@ -368,11 +368,10 @@ let install_ckpt_tick (ckpt : Runner.checkpoint) world =
    (they do not survive Marshal — see {!Schemes.rehydrate_disc}): the
    queue discipline of every link, and every long-lived flow's
    congestion-control engine. Web-session flows are reachable only
-   through node agents and are not walked — their controllers keep
-   working (the closures captured the engine directly), only their
-   [engine_of] introspection would fail, and scenarios with live web
-   traffic cannot be snapshotted in the first place (opaque think
-   timers). *)
+   through node agents and their think timers, and are not walked:
+   their controllers keep working (the closures captured the engine
+   directly), only their [engine_of] introspection would fail, and
+   nothing introspects a web flow. *)
 let rehydrate_world world =
   let built = world.w_built in
   List.iter

@@ -102,10 +102,8 @@ val run :
     if never interrupted, byte-identically to an uninterrupted run. A
     snapshot from another binary is ignored and recomputed over.
     Budgets are part of the snapshot; [max_events]/[max_wall] are only
-    armed on a fresh build. Scenarios with closure-scheduled events
-    (web sessions, dynamic cohorts) raise
-    {!Sim_engine.Sim.Snapshot.Opaque_pending} at the first write,
-    naming the scheduling site. *)
+    armed on a fresh build. Every scenario [build] makes, web sessions
+    included, can be checkpointed. *)
 
 val cell_key : experiment:string -> string * config -> Store.key
 (** Store identity of one [(point, config)] sweep cell. *)

@@ -33,6 +33,55 @@ let scheme_key ~experiment ?point config =
     ~extra:(Digest.to_hex (Digest.string (Marshal.to_string config [])))
     ()
 
+(* The cohort staircase: the shared payload of its join, leave and bin
+   events. Join and leave carry the cohort index in their int slot. *)
+type staircase = {
+  built : Dumbbell.built;
+  ecn : bool;
+  flows : Flow.t array array;  (* per cohort; empty until it joins *)
+  endpoints : (Netsim.Node.t * Netsim.Node.t) array array;
+      (* hosts of cohorts 1..n-1 (cohort 0 is [built]'s own flows) *)
+  period : float;  (* s, bin width *)
+  last_acked : int array;  (* per cohort, at the last bin edge *)
+  series : float array array;  (* per cohort, per bin: bit/s *)
+  mutable next_bin : int;
+}
+
+let join_ev =
+  Sim_engine.Event.define2 ~name:"dynamic.join" (fun s k ->
+      s.flows.(k) <-
+        Array.map
+          (fun (src, dst) ->
+            Flow.create s.built.Dumbbell.topo ~src ~dst
+              ~cc:(s.built.Dumbbell.cc_factory ())
+              ~ecn:s.ecn ())
+          s.endpoints.(k - 1))
+
+let leave_ev =
+  Sim_engine.Event.define2 ~name:"dynamic.leave" (fun s k ->
+      Array.iter Flow.stop s.flows.(k))
+
+(* Binned per-cohort throughput via acked-packet deltas: a periodic tick
+   that samples while bins remain and reschedules until the run stops. *)
+let bin_ev =
+  Sim_engine.Event.define_rec ~name:"dynamic.bin" (fun self s ->
+      if s.next_bin < Array.length s.series.(0) then begin
+        Array.iteri
+          (fun k flows ->
+            let acked =
+              Array.fold_left (fun a f -> a + Flow.acked_pkts f) 0 flows
+            in
+            let delta = acked - s.last_acked.(k) in
+            s.last_acked.(k) <- acked;
+            s.series.(k).(s.next_bin) <-
+              float_of_int (delta * 8 * Netsim.Packet.mss) /. s.period)
+          s.flows;
+        s.next_bin <- s.next_bin + 1
+      end;
+      let sim = Netsim.Topology.sim s.built.Dumbbell.topo in
+      if not (Sim.stopped sim) then
+        Sim.after_ev sim (Units.Time.s s.period) (self s))
+
 let run ?max_events ?max_wall config =
   (* Total timeline: cohorts join at 0, e, 2e, ... then leave in arrival
      order at n*e, (n+1)*e, ...; simulation ends when one cohort is left
@@ -67,10 +116,10 @@ let run ?max_events ?max_wall config =
   let series = Array.make_matrix config.n_cohorts nbins 0.0 in
   (* Cohort 0 is the flows Dumbbell.build created; later cohorts attach
      fresh hosts at join time (hosts are created up front so routes exist). *)
-  let cohorts = Array.make config.n_cohorts [||] in
-  cohorts.(0) <- Array.of_list built.Dumbbell.forward_flows;
+  let flows = Array.make config.n_cohorts [||] in
+  flows.(0) <- Array.of_list built.Dumbbell.forward_flows;
   ignore r1;
-  let extra_endpoints =
+  let endpoints =
     Array.init (config.n_cohorts - 1) (fun _ ->
         Array.init config.cohort_size (fun _ ->
             let attach router =
@@ -88,44 +137,28 @@ let run ?max_events ?max_wall config =
             (attach r1, attach r2)))
   in
   Netsim.Topology.compute_routes built.Dumbbell.topo;
-  (* Join events. *)
+  let s =
+    {
+      built;
+      ecn = Schemes.uses_ecn config.scheme;
+      flows;
+      endpoints;
+      period = config.bin;
+      last_acked = Array.make config.n_cohorts 0;
+      series;
+      next_bin = 0;
+    }
+  in
   for k = 1 to config.n_cohorts - 1 do
-    let join_at = Units.Time.s (float_of_int k *. config.epoch) in
-    Sim.at ~site:"Dynamic.join" sim join_at (fun () ->
-        cohorts.(k) <-
-          Array.map
-            (fun (src, dst) ->
-              Flow.create built.Dumbbell.topo ~src ~dst
-                ~cc:(built.Dumbbell.cc_factory ())
-                ~ecn:(Schemes.uses_ecn config.scheme)
-                ())
-            extra_endpoints.(k - 1))
+    Sim.at_ev sim (Units.Time.s (float_of_int k *. config.epoch)) (join_ev s k)
   done;
-  (* Departure events: cohorts leave in arrival order. *)
+  (* Cohorts leave in arrival order. *)
   for k = 0 to config.n_cohorts - 2 do
-    let leave_at =
-      Units.Time.s (float_of_int (config.n_cohorts + k) *. config.epoch)
-    in
-    Sim.at ~site:"Dynamic.leave" sim leave_at (fun () -> Array.iter Flow.stop cohorts.(k))
+    Sim.at_ev sim
+      (Units.Time.s (float_of_int (config.n_cohorts + k) *. config.epoch))
+      (leave_ev s k)
   done;
-  (* Binned accounting via acked-packet deltas. *)
-  let last_acked = Array.make config.n_cohorts 0 in
-  let bin_idx = ref 0 in
-  Sim.every ~site:"Dynamic.bin" sim ~start:(Units.Time.s config.bin)
-    (Units.Time.s config.bin)
-    (fun () ->
-      if !bin_idx < nbins then begin
-        for k = 0 to config.n_cohorts - 1 do
-          let acked =
-            Array.fold_left (fun a f -> a + Flow.acked_pkts f) 0 cohorts.(k)
-          in
-          let delta = acked - last_acked.(k) in
-          last_acked.(k) <- acked;
-          series.(k).(!bin_idx) <-
-            float_of_int (delta * 8 * Netsim.Packet.mss) /. config.bin
-        done;
-        incr bin_idx
-      end);
+  Sim.at_ev sim (Units.Time.s config.bin) (bin_ev s);
   Sim.run ~until:(Units.Time.s horizon) sim;
   (times, series)
 
@@ -135,8 +168,8 @@ let fig12 ?(ctx = Runner.default) scale =
   let cells =
     Runner.map ctx
       ~key:(fun scheme -> scheme_key ~experiment:"fig12" (default scale scheme))
-      (* Cohort join/leave events are closure-scheduled (labelled opaque
-         sites), so these cells never honour a live checkpoint. *)
+      (* [run] installs no checkpoint tick, so these cells never write a
+         live checkpoint. *)
       (fun ~ckpt:_ scheme ->
         run ?max_events:ctx.Runner.max_events ?max_wall:ctx.Runner.deadline
           (default scale scheme))
@@ -174,6 +207,39 @@ let fig12 ?(ctx = Runner.default) scale =
       :: List.init n_cohorts (fun k -> Printf.sprintf "cohort%d" (k + 1));
     rows;
   }
+
+(* The same binning for the TCP aggregate and the CBR source. *)
+type cbr_bins = {
+  xb_sim : Sim.t;
+  xb_bin : float;  (* s *)
+  xb_flows : Flow.t array;
+  xb_cbr : Traffic.Cbr.t;
+  xb_tcp_series : float array;
+  xb_cbr_series : float array;
+  mutable xb_last_tcp : int;
+  mutable xb_last_cbr : int;
+  mutable xb_idx : int;
+}
+
+let cbr_bin_ev =
+  Sim_engine.Event.define_rec ~name:"dynamic-cbr.bin" (fun self b ->
+      if b.xb_idx < Array.length b.xb_tcp_series then begin
+        let tcp =
+          Array.fold_left (fun a f -> a + Flow.acked_pkts f) 0 b.xb_flows
+        in
+        let got = Traffic.Cbr.received b.xb_cbr in
+        b.xb_tcp_series.(b.xb_idx) <-
+          float_of_int ((tcp - b.xb_last_tcp) * 8 * Netsim.Packet.mss)
+          /. b.xb_bin;
+        b.xb_cbr_series.(b.xb_idx) <-
+          float_of_int ((got - b.xb_last_cbr) * 8 * Netsim.Packet.data_size)
+          /. b.xb_bin;
+        b.xb_last_tcp <- tcp;
+        b.xb_last_cbr <- got;
+        b.xb_idx <- b.xb_idx + 1
+      end;
+      if not (Sim.stopped b.xb_sim) then
+        Sim.after_ev b.xb_sim (Units.Time.s b.xb_bin) (self b))
 
 let run_cbr ?max_events ?max_wall config ~cbr_share =
   let dumbbell_cfg =
@@ -220,24 +286,19 @@ let run_cbr ?max_events ?max_wall config ~cbr_share =
       ~start:(Units.Time.s config.epoch)
       ~stop:(Units.Time.s (2.0 *. config.epoch)) ()
   in
-  let flows = Array.of_list built.Dumbbell.forward_flows in
-  let last_tcp = ref 0 and last_cbr = ref 0 in
-  let bin_idx = ref 0 in
-  Sim.every ~site:"Dynamic.bin" sim ~start:(Units.Time.s config.bin)
-    (Units.Time.s config.bin)
-    (fun () ->
-      if !bin_idx < nbins then begin
-        let tcp = Array.fold_left (fun a f -> a + Flow.acked_pkts f) 0 flows in
-        let got = Traffic.Cbr.received cbr in
-        tcp_series.(!bin_idx) <-
-          float_of_int ((tcp - !last_tcp) * 8 * Netsim.Packet.mss) /. config.bin;
-        cbr_series.(!bin_idx) <-
-          float_of_int ((got - !last_cbr) * 8 * Netsim.Packet.data_size)
-          /. config.bin;
-        last_tcp := tcp;
-        last_cbr := got;
-        incr bin_idx
-      end);
+  Sim.at_ev sim (Units.Time.s config.bin)
+    (cbr_bin_ev
+       {
+         xb_sim = sim;
+         xb_bin = config.bin;
+         xb_flows = Array.of_list built.Dumbbell.forward_flows;
+         xb_cbr = cbr;
+         xb_tcp_series = tcp_series;
+         xb_cbr_series = cbr_series;
+         xb_last_tcp = 0;
+         xb_last_cbr = 0;
+         xb_idx = 0;
+       });
   Sim.run ~until:(Units.Time.s horizon) sim;
   (times, tcp_series, cbr_series)
 

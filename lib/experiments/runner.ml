@@ -93,16 +93,31 @@ let commit ctx k v =
   | None -> ()
   | Some store -> Store.put store k ~payload:(encode v)
 
+let last_error attempts =
+  match List.rev attempts with a :: _ -> a.Parallel.error | [] -> "unknown"
+
 let outcome_to_cell = function
   | Parallel.Ok v -> Ok v
   | Parallel.Failed attempts ->
-      let reason =
-        match List.rev attempts with
-        | a :: _ -> a.Parallel.error
-        | [] -> "unknown"
-      in
-      Error (Failed { attempts = List.length attempts; reason })
+      Error
+        (Failed
+           { attempts = List.length attempts; reason = last_error attempts })
   | Parallel.Timed_out { reason; _ } -> Error (Timed_out reason)
+
+(* A table cell only has room for a truncated, sanitised reason; the
+   full one goes to stderr, named by the cell's store key. *)
+let report_failure k outcome =
+  let log verdict n reason =
+    Printf.eprintf "pert-experiments: %s %s after %d attempt(s): %s\n%!"
+      verdict (Store.canonical k) n reason
+  in
+  match outcome with
+  | Parallel.Ok _ -> ()
+  | Parallel.Failed attempts ->
+      log "FAILED" (List.length attempts) (last_error attempts)
+  | Parallel.Timed_out { attempts; reason } ->
+      (* [attempts] lists the failures before the final, timed-out one *)
+      log "TIMEOUT" (List.length attempts + 1) reason
 
 (* Per-cell snapshot location under the policy's directory, addressed by
    the same canonical key as the store so a cell's snapshot survives
@@ -178,7 +193,7 @@ let map ctx ~key f xs =
                         | Error _ ->
                             (* failures are never cached: a rerun (or
                                --resume) retries them *)
-                            ());
+                            report_failure k outcome);
                         cell))
               keys slots)
       end

@@ -97,7 +97,10 @@ val map :
     pool of [min ctx.jobs misses] domains, retried per [ctx.retries] /
     [ctx.backoff], and committed to the store on success. Failures and
     timeouts come back as [Error] cells — and are deliberately never
-    cached, so a rerun retries them. Exceptions escaping the supervision
+    cached, so a rerun retries them. Each one also prints a line to
+    stderr naming the cell's canonical store key, its attempt count and
+    the full failure reason (a table cell holds only a truncated one).
+    Exceptions escaping the supervision
     machinery itself (harness bugs) are re-raised.
 
     With [ctx.checkpoint] set, [f] additionally receives this cell's

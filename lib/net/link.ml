@@ -263,6 +263,10 @@ let[@alloc.zero] tx_complete t =
 let tx_kind = Event.define ~name:"link.tx" tx_complete
 let anchor_kind = Event.define ~name:"link.anchor" anchor_tick
 
+(* Initial value of those two fields while [create] builds the record
+   they point back to. *)
+let unwired = Event.define ~name:"link.unwired" ignore ()
+
 (* --- arrivals ----------------------------------------------------------- *)
 
 (* Consumes the packet: dropped means gone. Freed only after the hook and
@@ -338,8 +342,8 @@ let create ?(jitter = Time.zero) ?(service = Batched) sim ~arena ~name
       tx_pkt = Packet.none;
       (* placeholders: replaced with this link's preallocated events
          below, never scheduled *)
-      tx_done = Event.opaque ~site:"Link.create" ignore;
-      anchor_ev = Event.opaque ~site:"Link.create" ignore;
+      tx_done = unwired;
+      anchor_ev = unwired;
       bs;
       life_arrivals = 0;
       life_drops = 0;
@@ -438,9 +442,9 @@ let drop_times t =
   | Some v -> Fvec.to_array v
   | None -> invalid_arg "Link.drop_times: tracing not enabled"
 
-(* Self-rescheduling sample tick, checkpoint-safe (stop-aware like
-   [Sim.every]): reads the trace vectors back out of the link so the
-   payload stays plain data. *)
+(* Self-rescheduling sample tick, stop-aware via [Sim.stopped]: reads
+   the trace vectors back out of the link so the payload stays plain
+   data. *)
 let queue_trace_kind =
   Event.define_rec ~name:"link.queue-trace" (fun self qt ->
       let t = qt.qt_link in

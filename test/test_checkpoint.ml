@@ -4,18 +4,18 @@
    armed [max_events] budget keeps counting across a restore instead of
    restarting from zero (the crash-recovery accounting regression); the
    wall budget's 256-event sampling does not trip spuriously after the
-   restore-time rebase; pending closure events are rejected with a
-   diagnostic naming their scheduling site; foreign and corrupt snapshot
-   files are refused.
+   restore-time rebase; foreign and corrupt snapshot files are
+   refused.
 
    Scenario level, the cut-point invariance oracle: interrupt a real
    dumbbell run at a *random* event count (via the event budget, which
    raises before popping, so the simulation is consistent), snapshot it,
    restore in-process, rehydrate, finish — the canonical rendering of
    the result must be byte-identical to the uninterrupted run's, under
-   both schedulers and for both a faults-style lossy PERT scenario and a
-   fig6-style PERT+ECN/RED one (the latter exercises both extension-
-   constructor rehydration paths). *)
+   both schedulers and for a faults-style lossy PERT scenario, a
+   fig6-style PERT+ECN/RED one (which exercises both extension-
+   constructor rehydration paths) and a fig9-style one with live web
+   sessions (whose think timers are pending at almost every cut). *)
 
 module Sim = Sim_engine.Sim
 module Event = Sim_engine.Event
@@ -114,20 +114,6 @@ let wall_budget_no_skew_at_resume () =
         exhausted);
   Alcotest.(check int) "resumed run reaches the straight run's state" c.count
     c2.count
-
-let opaque_pending_names_site () =
-  let sim = Sim.create ~seed:1 ~scheduler:`Wheel () in
-  Sim.at_ev sim (Units.Time.s 0.0)
-    (Event.define ~name:"test.noop" (fun () -> ()) ());
-  Sim.at ~site:"Test.opaque" sim (Units.Time.s 1.0) (fun () -> ());
-  let path = temp_snap () in
-  (match Sim.Snapshot.save sim ~world:() ~path with
-  | _ -> Alcotest.fail "expected Opaque_pending"
-  | exception Sim.Snapshot.Opaque_pending { site; count; _ } ->
-      Alcotest.(check string) "diagnostic names the scheduling site"
-        "Test.opaque" site;
-      Alcotest.(check int) "counts the pending closures" 1 count);
-  Alcotest.(check bool) "no file written" false (Sys.file_exists path)
 
 let rejects_foreign_and_corrupt () =
   let path = temp_snap () in
@@ -230,6 +216,20 @@ let fig6_like scheduler =
     }
     ~n:4
 
+let fig9_like scheduler =
+  D.uniform_flows
+    {
+      D.default with
+      D.scheme = Schemes.Sack_red_ecn;
+      bandwidth = 10e6;
+      web_sessions = 30;
+      duration = 8.0;
+      warmup = 2.0;
+      seed = 52;
+      scheduler;
+    }
+    ~n:4
+
 let straight config = render (finish { built = D.build config; warm = false })
 
 (* The straight reference depends only on the config, not the cut; cache
@@ -279,9 +279,6 @@ let suite =
     ( "wall budget sampling does not skew at resume",
       `Quick,
       wall_budget_no_skew_at_resume );
-    ( "snapshot with pending closure event names its site",
-      `Quick,
-      opaque_pending_names_site );
     ( "foreign and corrupt snapshots are refused",
       `Quick,
       rejects_foreign_and_corrupt );
@@ -290,4 +287,5 @@ let suite =
       [
         cut_invariance "faults-lossy" faults_like;
         cut_invariance "fig6-pert-ecn" fig6_like;
+        cut_invariance "fig9-web" fig9_like;
       ]

@@ -436,7 +436,7 @@ let link_timing_exact () =
   check_bool "batched by default" true (Link.service link = Link.Batched);
   let arrival = ref 0.0 in
   Link.set_deliver link (fun _ -> arrival := Sim.now sim);
-  Sim.at sim (ts 0.0) (fun () -> Link.send link (mk_data a));
+  Thunk.at sim (ts 0.0) (fun () -> Link.send link (mk_data a));
   Sim.run sim;
   (* 1040 bytes at 1 Mbps = 8.32 ms serialisation + 10 ms propagation. *)
   check_float "delivery time" (0.00832 +. 0.01) !arrival
@@ -448,7 +448,7 @@ let link_serialises_back_to_back () =
   let arrivals = ref [] in
   Link.set_deliver link (fun p ->
       arrivals := (Packet.seq a p, Sim.now sim) :: !arrivals);
-  Sim.at sim (ts 0.0) (fun () ->
+  Thunk.at sim (ts 0.0) (fun () ->
       Link.send link (mk_data ~seq:0 a);
       Link.send link (mk_data ~seq:1 a));
   Sim.run sim;
@@ -462,7 +462,7 @@ let link_max_queue_watermark () =
   let a = Packet.create_arena () in
   let link = link_fixture sim a in
   Link.set_deliver link ignore;
-  Sim.at sim (ts 0.0) (fun () ->
+  Thunk.at sim (ts 0.0) (fun () ->
       for i = 0 to 9 do
         Link.send link (mk_data ~seq:i a)
       done);
@@ -477,7 +477,7 @@ let link_counters_and_reset () =
   let a = Packet.create_arena () in
   let link = link_fixture ~limit:2 sim a in
   Link.set_deliver link ignore;
-  Sim.at sim (ts 0.0) (fun () ->
+  Thunk.at sim (ts 0.0) (fun () ->
       for i = 0 to 4 do
         Link.send link (mk_data ~seq:i a)
       done);
@@ -497,7 +497,7 @@ let link_drop_trace () =
   let link = link_fixture ~limit:1 sim a in
   Link.set_deliver link ignore;
   Link.enable_drop_trace link;
-  Sim.at sim (ts 0.5) (fun () ->
+  Thunk.at sim (ts 0.5) (fun () ->
       for i = 0 to 3 do
         Link.send link (mk_data ~seq:i a)
       done);
@@ -512,7 +512,7 @@ let link_queue_trace_lookup () =
   let link = link_fixture sim a in
   Link.set_deliver link ignore;
   Link.enable_queue_trace link ~interval:(ts 0.1) ();
-  Sim.at sim (ts 0.45) (fun () ->
+  Thunk.at sim (ts 0.45) (fun () ->
       for i = 0 to 9 do
         Link.send link (mk_data ~seq:i a)
       done);
@@ -530,7 +530,7 @@ let link_jitter_reorders () =
   in
   let order = ref [] in
   Link.set_deliver link (fun p -> order := Packet.seq a p :: !order);
-  Sim.at sim (ts 0.0) (fun () ->
+  Thunk.at sim (ts 0.0) (fun () ->
       for i = 0 to 49 do
         Link.send link (mk_data ~seq:i a)
       done);
@@ -558,7 +558,7 @@ let link_eager_matches_batched () =
         deliveries := (Packet.seq a p, Sim.now sim) :: !deliveries;
         Packet.free a p);
     let send_burst t0 n base =
-      Sim.at sim (ts t0) (fun () ->
+      Thunk.at sim (ts t0) (fun () ->
           for i = 0 to n - 1 do
             Link.send link (mk_data ~seq:(base + i) a)
           done)
@@ -614,7 +614,7 @@ let topology_routing_chain () =
   let pkt =
     Packet.data a ~flow:7 ~src:0 ~dst:3 ~seq:42 ~ecn:false ~now:0.0 ()
   in
-  Sim.at sim (ts 0.0) (fun () -> Topology.inject topo n.(0) pkt);
+  Thunk.at sim (ts 0.0) (fun () -> Topology.inject topo n.(0) pkt);
   Sim.run sim;
   Alcotest.(check (option int)) "delivered across 3 hops" (Some 42) !got;
   (* the node freed the packet after the agent saw it *)
@@ -664,7 +664,7 @@ let node_agent_demux () =
   let data flow seq =
     Packet.data arena ~flow ~src:0 ~dst:1 ~seq ~ecn:false ~now:0.0 ()
   in
-  Sim.at sim (ts 0.0) (fun () ->
+  Thunk.at sim (ts 0.0) (fun () ->
       Node.receive a (data 1 0);
       Node.receive a (data 2 0);
       Node.receive a (data 3 0));
@@ -674,7 +674,7 @@ let node_agent_demux () =
   (* agentless flow-3 delivery was freed too, not leaked *)
   check_int "all packets freed" 0 (Packet.live arena);
   Node.detach_agent b ~flow:1;
-  Sim.at sim (ts (Sim.now sim +. 0.001)) (fun () ->
+  Thunk.at sim (ts (Sim.now sim +. 0.001)) (fun () ->
       Node.receive a (data 1 1));
   Sim.run sim;
   check_int "detached agent silent" 1 !hits_1
@@ -687,7 +687,7 @@ let tracer_records_lifecycle () =
   let link = link_fixture ~limit:2 sim a in
   Link.set_deliver link (fun p -> Packet.free a p);
   let tracer = Tracer.create [ link ] in
-  Sim.at sim (ts 0.0) (fun () ->
+  Thunk.at sim (ts 0.0) (fun () ->
       for i = 0 to 4 do
         Link.send link (mk_data ~seq:i a)
       done);
@@ -722,7 +722,7 @@ let tracer_marks_flags () =
     Packet.data a ~flow:0 ~src:0 ~dst:1 ~seq:0 ~ecn:false ~retransmit:true
       ~now:0.0 ()
   in
-  Sim.at sim (ts 0.0) (fun () -> Link.send link pkt);
+  Thunk.at sim (ts 0.0) (fun () -> Link.send link pkt);
   Sim.run sim;
   check_bool "retransmit flag traced" true
     (let trace = Tracer.to_string tracer in
