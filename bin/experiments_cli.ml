@@ -1,6 +1,8 @@
-(* Command-line driver for the paper-reproduction experiments:
-   `experiments_cli list`, `experiments_cli run fig6 table1 --scale quick`,
-   `experiments_cli all --csv out/ --resume --deadline 300`. *)
+(* The one command-line front door: the paper-reproduction experiments
+   (`experiments_cli list`, `experiments_cli run fig6 table1 --scale
+   quick`, `experiments_cli all --csv out/ --resume --deadline 300`), a
+   single dumbbell (`experiments_cli sim --scheme pert-pi --trace t.tr`)
+   and the scenario language (`experiments_cli scenario FILE`). *)
 
 open Cmdliner
 
@@ -244,66 +246,118 @@ let all_cmd =
        $ scheduler_arg $ checkpoint_arg $ checkpoint_events_arg
        $ checkpoint_wall_arg))
 
-(* --- sim: one checkpointable simulation cell ----------------------------- *)
+(* --- sim: one dumbbell ---------------------------------------------------- *)
 
-(* A single dumbbell run with an explicit snapshot file, built for the
-   crash-recovery proof: run it with --checkpoint, SIGKILL it mid-flight,
-   rerun the same command line — it resumes from the snapshot and the
-   --out rendering is byte-identical to an uninterrupted run's. *)
+(* A single dumbbell run with a canonical result rendering. With
+   --trace it also writes an ns-2-style packet trace; with an explicit
+   snapshot file it is the crash-recovery proof: run it with
+   --checkpoint, SIGKILL it mid-flight, rerun the same command line — it
+   resumes from the snapshot and the --out rendering is byte-identical
+   to an uninterrupted run's. *)
 
-let sim_scheme_conv =
-  let parse = function
-    | "pert" -> Ok Experiments.Schemes.Pert
-    | "pert-ecn" -> Ok Experiments.Schemes.Pert_ecn
-    | "sack-droptail" | "sack" -> Ok Experiments.Schemes.Sack_droptail
-    | "sack-red-ecn" | "red" -> Ok Experiments.Schemes.Sack_red_ecn
-    | "vegas" -> Ok Experiments.Schemes.Vegas
-    | "pert-rem" -> Ok Experiments.Schemes.Pert_rem
-    | "pert-avq" -> Ok Experiments.Schemes.Pert_avq
-    | "sack-rem-ecn" | "rem" -> Ok Experiments.Schemes.Sack_rem_ecn
-    | "sack-avq-ecn" | "avq" -> Ok Experiments.Schemes.Sack_avq_ecn
-    | s -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
+(* Validating converters: a bad value is a usage error (exit 124, naming
+   the flag), never an uncaught exception or a silent clamp. *)
+let checked_conv conv ok expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
   in
-  Arg.conv
-    (parse, fun fmt s -> Format.fprintf fmt "%s" (Experiments.Schemes.name s))
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let pos_float =
+  checked_conv Arg.float
+    (fun x -> Float.is_finite x && x > 0.0)
+    "a positive finite number"
+
+let nonneg_int = checked_conv Arg.int (fun n -> n >= 0) "a non-negative integer"
+let pos_int = checked_conv Arg.int (fun n -> n > 0) "a positive integer"
+
+let prob =
+  checked_conv Arg.float
+    (fun p -> p >= 0.0 && p <= 1.0)
+    "a probability in [0, 1]"
 
 let sim_scheme_arg =
+  let parse s =
+    Result.map_error (fun e -> `Msg e) (Experiments.Schemes.of_name s)
+  in
+  let print fmt s = Format.fprintf fmt "%s" (Experiments.Schemes.name s) in
   Arg.(
     value
-    & opt sim_scheme_conv Experiments.Schemes.Pert
+    & opt (conv (parse, print)) Experiments.Schemes.Pert
     & info [ "scheme" ] ~docv:"NAME"
         ~doc:
-          "Congestion control / queue combination: pert, pert-ecn, \
-           sack-droptail, sack-red-ecn, vegas, pert-rem, pert-avq, \
-           sack-rem-ecn, sack-avq-ecn.")
+          ("Congestion control / queue combination: "
+          ^ Arg.doc_alts Experiments.Schemes.names
+          ^ "."))
 
 let sim_bandwidth_arg =
   Arg.(
-    value & opt float 40.0
+    value & opt pos_float 40.0
     & info [ "bandwidth" ] ~docv:"MBPS" ~doc:"Bottleneck bandwidth in Mbit/s.")
 
 let sim_rtt_arg =
   Arg.(
-    value & opt float 60.0
+    value & opt pos_float 60.0
     & info [ "rtt" ] ~docv:"MS" ~doc:"Two-way propagation delay in ms.")
 
 let sim_flows_arg =
-  Arg.(value & opt int 16 & info [ "flows" ] ~doc:"Forward long-lived flows.")
+  Arg.(
+    value & opt nonneg_int 16
+    & info [ "flows" ] ~doc:"Forward long-lived flows.")
+
+let sim_reverse_arg =
+  Arg.(
+    value & opt nonneg_int 0
+    & info [ "reverse" ] ~doc:"Reverse long-lived flows.")
+
+let sim_web_arg =
+  Arg.(value & opt nonneg_int 0 & info [ "web" ] ~doc:"Web sessions.")
+
+let sim_buffer_arg =
+  Arg.(
+    value
+    & opt (some pos_int) None
+    & info [ "buffer" ] ~docv:"PKTS"
+        ~doc:"Bottleneck buffer in packets (default: one BDP).")
 
 let sim_duration_arg =
-  Arg.(value & opt float 60.0 & info [ "duration" ] ~doc:"Simulated seconds.")
+  Arg.(
+    value & opt pos_float 60.0
+    & info [ "duration" ] ~doc:"Simulated seconds.")
 
 let sim_loss_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some prob) None
     & info [ "loss" ] ~docv:"P"
         ~doc:
           "Random non-congestive loss probability on the bottleneck (the \
            fault suite's wireless-style impairment).")
 
+let sim_owd_arg =
+  Arg.(
+    value & flag
+    & info [ "owd" ]
+        ~doc:"Drive PERT from forward one-way delays instead of RTTs.")
+
 let sim_seed_arg =
   Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Random seed.")
+
+let sim_trace_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:
+          "Write an ns-2-style packet trace of the bottleneck link (both \
+           directions) to $(docv). Tracing only observes: the result is \
+           the untraced run's. Cannot be combined with $(b,--checkpoint) \
+           or $(b,--restore).")
 
 let sim_checkpoint_arg =
   Arg.(
@@ -353,14 +407,37 @@ let render_result (r : Experiments.Dumbbell.result) =
     r.per_flow_goodput;
   Buffer.contents b
 
-let run_sim scheme bandwidth rtt flows duration loss seed scheduler checkpoint
-    ck_events ck_wall restore out =
-  match (restore, checkpoint) with
-  | Some _, Some _ ->
+(* The tracer is not part of the snapshot world, so a traced run takes
+   the plain build/reset/measure path ({!Experiments.Dumbbell.run}
+   without checkpoints, unrolled to attach the tracer). *)
+let traced_run config path =
+  let module D = Experiments.Dumbbell in
+  let built = D.build config in
+  let tracer =
+    Netsim.Tracer.create [ built.D.bottleneck; built.D.reverse_bneck ]
+  in
+  let sim = Netsim.Topology.sim built.D.topo in
+  Sim_engine.Sim.run ~until:(Units.Time.s config.D.warmup) sim;
+  D.reset built;
+  Sim_engine.Sim.run ~until:(Units.Time.s config.D.duration) sim;
+  let result = D.measure built in
+  Netsim.Tracer.save tracer ~path;
+  Printf.eprintf "trace: %d events -> %s\n" (Netsim.Tracer.events tracer) path;
+  result
+
+let run_sim scheme bandwidth rtt flows reverse web buffer duration loss owd
+    seed scheduler checkpoint ck_events ck_wall restore trace out =
+  match (restore, checkpoint, trace) with
+  | Some _, Some _, _ ->
       `Error (true, "--restore and --checkpoint are mutually exclusive")
-  | Some path, None when not (Sys.file_exists path) ->
+  | Some _, _, Some _ | _, Some _, Some _ ->
+      `Error
+        ( true,
+          "--trace cannot be combined with --checkpoint or --restore (the \
+           tracer is not part of a snapshot)" )
+  | Some path, None, _ when not (Sys.file_exists path) ->
       `Error (false, Printf.sprintf "--restore %s: no such snapshot" path)
-  | restore, checkpoint ->
+  | restore, checkpoint, trace ->
       let config =
         Experiments.Dumbbell.uniform_flows
           {
@@ -368,8 +445,12 @@ let run_sim scheme bandwidth rtt flows duration loss seed scheduler checkpoint
             scheme;
             bandwidth = bandwidth *. 1e6;
             rtt = rtt /. 1000.0;
+            reverse_flows = reverse;
+            web_sessions = web;
+            buffer_pkts = buffer;
             duration;
             warmup = duration /. 4.0;
+            delay_signal = (if owd then `Owd else `Rtt);
             fault =
               Option.map (fun p -> Netsim.Fault.lossy (Units.Prob.v p)) loss;
             seed;
@@ -398,7 +479,11 @@ let run_sim scheme bandwidth rtt flows duration loss seed scheduler checkpoint
             Some (mk_ckpt path)
         | None, None -> None
       in
-      let result = Experiments.Dumbbell.run ?ckpt config in
+      let result =
+        match trace with
+        | Some path -> traced_run config path
+        | None -> Experiments.Dumbbell.run ?ckpt config
+      in
       let text = render_result result in
       (match out with
       | Some path ->
@@ -411,19 +496,46 @@ let sim_cmd =
   Cmd.v
     (Cmd.info "sim"
        ~doc:
-         "Run one dumbbell simulation with live checkpoint/restore and a \
-          canonical result rendering (the crash-recovery test vehicle).")
+         "Run one dumbbell simulation and print its canonical result \
+          (metrics and per-flow goodputs), with optional packet trace and \
+          live checkpoint/restore (the crash-recovery test vehicle).")
     Term.(
       ret
         (const run_sim $ sim_scheme_arg $ sim_bandwidth_arg $ sim_rtt_arg
-       $ sim_flows_arg $ sim_duration_arg $ sim_loss_arg $ sim_seed_arg
+       $ sim_flows_arg $ sim_reverse_arg $ sim_web_arg $ sim_buffer_arg
+       $ sim_duration_arg $ sim_loss_arg $ sim_owd_arg $ sim_seed_arg
        $ scheduler_arg $ sim_checkpoint_arg $ checkpoint_events_arg
-       $ checkpoint_wall_arg $ sim_restore_arg $ sim_out_arg))
+       $ checkpoint_wall_arg $ sim_restore_arg $ sim_trace_arg $ sim_out_arg))
+
+(* --- scenario: the text language ------------------------------------------ *)
+
+let scenario_cmd =
+  let file_arg =
+    Arg.(
+      required
+      & pos 0 (some non_dir_file) None
+      & info [] ~docv:"FILE"
+          ~doc:"Scenario file (see lib/experiments/scenario.mli).")
+  in
+  let run path =
+    let source = In_channel.with_open_text path In_channel.input_all in
+    match Experiments.Scenario.parse_and_run source with
+    | Ok report ->
+        Experiments.Scenario.pp_report Format.std_formatter report;
+        0
+    | Error msg ->
+        Printf.eprintf "%s: %s\n" path msg;
+        1
+  in
+  Cmd.v
+    (Cmd.info "scenario"
+       ~doc:"Run a scenario-language file on an arbitrary topology.")
+    Term.(const run $ file_arg)
 
 let main =
   let doc = "Reproduce the tables and figures of the PERT paper (SIGCOMM 2007)" in
   Cmd.group
     (Cmd.info "pert-experiments" ~doc)
-    [ list_cmd; run_cmd; all_cmd; sim_cmd ]
+    [ list_cmd; run_cmd; all_cmd; sim_cmd; scenario_cmd ]
 
 let () = exit (Cmd.eval' main)

@@ -36,6 +36,47 @@ let name = function
 
 let all_fig4_schemes = [ Pert; Sack_droptail; Sack_red_ecn; Vegas ]
 
+(* Every front end's name table: canonical names first, then the short
+   aliases (router-AQM names stand for ECN SACK over that queue; the
+   scenario language's [newreno]/[droptail] for plain SACK). The PI
+   schemes run at a 3 ms target delay. *)
+let named =
+  let pi_target = Units.Time.s 0.003 in
+  List.map
+    (fun s -> (name s, s))
+    [
+      Pert;
+      Pert_ecn;
+      Sack_droptail;
+      Sack_red_ecn;
+      Vegas;
+      Pert_pi { target_delay = pi_target };
+      Sack_pi_ecn { target_delay = pi_target };
+      Pert_rem;
+      Pert_avq;
+      Sack_rem_ecn;
+      Sack_avq_ecn;
+    ]
+  @ [
+      ("sack", Sack_droptail);
+      ("newreno", Sack_droptail);
+      ("droptail", Sack_droptail);
+      ("red", Sack_red_ecn);
+      ("pi", Sack_pi_ecn { target_delay = pi_target });
+      ("rem", Sack_rem_ecn);
+      ("avq", Sack_avq_ecn);
+    ]
+
+let names = List.map fst named
+
+let of_name s =
+  match List.assoc_opt s named with
+  | Some t -> Ok t
+  | None ->
+      Error
+        (Printf.sprintf "unknown scheme %S (expected one of: %s)" s
+           (String.concat ", " names))
+
 let uses_ecn = function
   | Pert_ecn | Sack_red_ecn | Sack_pi_ecn _ | Sack_rem_ecn | Sack_avq_ecn ->
       true

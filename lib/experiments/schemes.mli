@@ -30,6 +30,17 @@ type t =
   | Sack_avq_ecn  (** router AVQ with ECN *)
 
 val name : t -> string
+
+val of_name : string -> (t, string) result
+(** Inverse of {!name} for every scheme but [Pert_tuned] ([Pert_pi] and
+    [Sack_pi_ecn] at a 3 ms target delay), plus the aliases [sack],
+    [newreno] and [droptail] (SACK over DropTail) and [red], [pi],
+    [rem], [avq] (ECN SACK over that router queue). The error names
+    every accepted name. *)
+
+val names : string list
+(** Every name {!of_name} accepts: canonical names, then aliases. *)
+
 val all_fig4_schemes : t list
 (** The four schemes of Sections 4.1–4.7, in paper order:
     PERT, SACK/DropTail, SACK/RED-ECN, Vegas. *)

@@ -216,6 +216,11 @@ let fig6_like scheduler =
     }
     ~n:4
 
+(* The PI pair at the fig6_like size: exercises Pert_pi_cc.rehydrate and
+   Pi_queue.rehydrate, both reachable from `sim --checkpoint`. *)
+let pi_like scheme scheduler = { (fig6_like scheduler) with D.scheme }
+let pi_target = Units.Time.s 0.003
+
 let fig9_like scheduler =
   D.uniform_flows
     {
@@ -288,4 +293,8 @@ let suite =
         cut_invariance "faults-lossy" faults_like;
         cut_invariance "fig6-pert-ecn" fig6_like;
         cut_invariance "fig9-web" fig9_like;
+        cut_invariance "fig6-pert-pi"
+          (pi_like (Schemes.Pert_pi { target_delay = pi_target }));
+        cut_invariance "fig6-sack-pi-ecn"
+          (pi_like (Schemes.Sack_pi_ecn { target_delay = pi_target }));
       ]

@@ -31,6 +31,53 @@ let schemes_disc_kinds () =
   let pi = Schemes.bottleneck_disc (Schemes.Sack_pi_ecn { target_delay = Units.Time.s 0.003 }) ctx in
   check_bool "pi disc introspectable" true (Units.Prob.to_float (Netsim.Pi_queue.probability pi) >= 0.0)
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let pi_3ms = Units.Time.s 0.003
+
+let named_schemes =
+  Schemes.
+    [ Pert; Pert_ecn; Sack_droptail; Sack_red_ecn; Vegas;
+      Pert_pi { target_delay = pi_3ms }; Sack_pi_ecn { target_delay = pi_3ms };
+      Pert_rem; Pert_avq; Sack_rem_ecn; Sack_avq_ecn ]
+
+let scheme_aliases =
+  Schemes.
+    [ ("sack", Sack_droptail); ("newreno", Sack_droptail);
+      ("droptail", Sack_droptail); ("red", Sack_red_ecn);
+      ("pi", Sack_pi_ecn { target_delay = pi_3ms }); ("rem", Sack_rem_ecn);
+      ("avq", Sack_avq_ecn) ]
+
+let schemes_name_table () =
+  List.iter
+    (fun s ->
+      check_bool (Schemes.name s ^ " round-trips") true
+        (Schemes.of_name (Schemes.name s) = Ok s))
+    named_schemes;
+  List.iter
+    (fun (alias, s) ->
+      check_bool (alias ^ " is an alias of " ^ Schemes.name s) true
+        (Schemes.of_name alias = Ok s))
+    scheme_aliases;
+  check_bool "tuned pert has no name" true
+    (Result.is_error (Schemes.of_name "pert-tuned"));
+  let valid =
+    List.map Schemes.name named_schemes @ List.map fst scheme_aliases
+  in
+  Alcotest.(check (list string))
+    "names = canonical @ aliases" valid Schemes.names;
+  match Schemes.of_name "cubic" with
+  | Ok _ -> Alcotest.fail "unknown name accepted"
+  | Error msg ->
+      check_bool "names the culprit" true (contains ~sub:"cubic" msg);
+      List.iter
+        (fun name ->
+          check_bool (name ^ " listed") true (contains ~sub:name msg))
+        valid
+
 (* --- Dumbbell ------------------------------------------------------------------ *)
 
 let bdp_rule () =
@@ -269,6 +316,29 @@ let other_aqm_schemes_smoke () =
     [ Schemes.Pert_rem; Schemes.Pert_avq; Schemes.Sack_rem_ecn;
       Schemes.Sack_avq_ecn ]
 
+let tracer_only_observes () =
+  (* What lets `sim --trace` print the untraced numbers: attaching a
+     tracer to both bottleneck directions perturbs nothing. *)
+  let config =
+    Dumbbell.uniform_flows
+      { Dumbbell.default with Dumbbell.scheme = Schemes.Sack_red_ecn;
+        bandwidth = 10e6; reverse_flows = 1; web_sessions = 3;
+        duration = 6.0; warmup = 2.0; seed = 3 }
+      ~n:3
+  in
+  let built = Dumbbell.build config in
+  let tracer =
+    Netsim.Tracer.create
+      [ built.Dumbbell.bottleneck; built.Dumbbell.reverse_bneck ]
+  in
+  let sim = Netsim.Topology.sim built.Dumbbell.topo in
+  Sim_engine.Sim.run ~until:(Units.Time.s config.Dumbbell.warmup) sim;
+  Dumbbell.reset built;
+  Sim_engine.Sim.run ~until:(Units.Time.s config.Dumbbell.duration) sim;
+  let traced = Dumbbell.measure built in
+  check_bool "trace non-empty" true (Netsim.Tracer.events tracer > 0);
+  check_bool "traced result = Dumbbell.run" true (traced = Dumbbell.run config)
+
 let tuned_scheme_matches_default () =
   (* Pert_tuned with the paper's knobs must behave like Pert. *)
   let cfg scheme =
@@ -318,6 +388,7 @@ let suite =
   [
     ("schemes names/ecn", `Quick, schemes_names_and_ecn);
     ("schemes disc kinds", `Quick, schemes_disc_kinds);
+    ("schemes name table", `Quick, schemes_name_table);
     ("dumbbell bdp rule", `Quick, bdp_rule);
     ("dumbbell uniform flows", `Quick, uniform_flows_helper);
     ("dumbbell realises rtt", `Quick, measured_rtt_matches_config);
@@ -333,6 +404,7 @@ let suite =
     ("fig6 table structure", `Quick, fig6_structure);
     ("fig13a paper point", `Quick, fig13a_matches_paper_point);
     ("other aqm schemes smoke", `Quick, other_aqm_schemes_smoke);
+    ("tracer only observes", `Quick, tracer_only_observes);
     ("tuned scheme matches default", `Quick, tuned_scheme_matches_default);
     ("ablation tables smoke", `Quick, ablation_tables_smoke);
     ("ablation decrease direction", `Quick, ablation_decrease_direction);

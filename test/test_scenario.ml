@@ -1,5 +1,7 @@
 (* Tests for the scenario description language. *)
 
+module Scenario = Experiments.Scenario
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
