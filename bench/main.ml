@@ -307,6 +307,41 @@ let kernel_pert_ack =
       ~rtt:(Units.Time.s (0.05 +. (0.01 *. sin (float_of_int !i))))
       ~u:0.999
 
+(* One long NewReno transfer over a 10 Mbps / 20 ms duplex link, its
+   window capped below BDP + buffer: after the warm-up the transfer is
+   loss-free and ACK-clocked, one ACK per data serialisation time.
+   [advance k] runs the simulation k such times further, i.e. k ACKs
+   and everything they clock out: the whole per-ACK sender and receiver
+   path, link delivery and the scheduler included. *)
+let flow_ack_rig () =
+  let sim = Sim_engine.Sim.create ~seed:1 () in
+  let topo = Netsim.Topology.create sim in
+  let src = Netsim.Topology.add_node topo in
+  let dst = Netsim.Topology.add_node topo in
+  let bandwidth = 10e6 in
+  ignore
+    (Netsim.Topology.add_duplex topo ~a:src ~b:dst
+       ~bandwidth:(Units.Rate.bps bandwidth) ~delay:(Units.Time.s 0.01)
+       ~disc_ab:(Netsim.Droptail.create ~limit_pkts:1000)
+       ~disc_ba:(Netsim.Droptail.create ~limit_pkts:1000));
+  Netsim.Topology.compute_routes topo;
+  let flow =
+    Tcpstack.Flow.create topo ~src ~dst ~cc:(Tcpstack.Cc.newreno ())
+      ~max_cwnd:40.0 ()
+  in
+  let horizon = ref 2.0 in
+  Sim_engine.Sim.run ~until:(Units.Time.s !horizon) sim;
+  let per_ack = float_of_int (8 * Netsim.Packet.data_size) /. bandwidth in
+  let advance k =
+    horizon := !horizon +. (float_of_int k *. per_ack);
+    Sim_engine.Sim.run ~until:(Units.Time.s !horizon) sim
+  in
+  (flow, advance)
+
+let kernel_flow_ack =
+  let _, advance = flow_ack_rig () in
+  fun () -> advance 1
+
 let kernel_red_enqueue =
   let rng = Sim_engine.Rng.create 3 in
   let params = Netsim.Red.auto_params ~capacity_pps:1000.0 ~limit_pkts:100 () in
@@ -394,6 +429,19 @@ let alloc_pert_ack () =
          ~u:0.999)
   done;
   (Gc.minor_words () -. w0, n)
+
+(* One [Sim.run] over the whole window, so the per-call cost of [Sim.run]
+   itself (~10 words) stays out of the per-ACK figure. *)
+let alloc_flow_ack () =
+  let flow, advance = flow_ack_rig () in
+  let acked0 = Tcpstack.Flow.acked_pkts flow in
+  let w0 = Gc.minor_words () in
+  advance 10_000;
+  let words = Gc.minor_words () -. w0 in
+  if Tcpstack.Flow.loss_events flow > 0 then
+    failwith "prim:flow-ack: the transfer lost packets";
+  (* no delayed ACKs and no loss: each ACK acknowledges one segment *)
+  (words, Tcpstack.Flow.acked_pkts flow - acked0)
 
 let alloc_red_enqueue () =
   let rng = Sim_engine.Rng.create 3 in
@@ -488,6 +536,7 @@ let alloc_profiles =
     ("prim:sim-10k-events", alloc_sim_events);
     ("prim:pert-on-ack", alloc_pert_ack);
     ("prim:red-enqueue", alloc_red_enqueue);
+    ("prim:flow-ack", alloc_flow_ack);
   ]
 
 let measure_alloc () =
@@ -660,6 +709,7 @@ let tests =
       staged "prim:sim-10k-events" (fun () -> ignore (kernel_sim_events ()));
       staged "prim:pert-on-ack" (fun () -> ignore (kernel_pert_ack ()));
       staged "prim:red-enqueue" kernel_red_enqueue;
+      staged "prim:flow-ack" kernel_flow_ack;
       (* Deliberately last: this kernel's closure keeps a million-node
          wheel (~40 MB, ~24 MB of it pointer-scannable) live for the
          rest of the process, and incremental major-GC mark slices over

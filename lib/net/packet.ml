@@ -201,14 +201,17 @@ let sack a h =
   let base = h lsl stride_shift in
   let ints = a.ints in
   let n = ints.(base + o_sack_n) in
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      go (i - 1)
-        ((ints.(base + o_sack + (2 * i)), ints.(base + o_sack + (2 * i) + 1))
-        :: acc)
-  in
-  go (n - 1) []
+  (* Most ACKs carry no block: answer them without building [go]. *)
+  if n = 0 then []
+  else
+    let rec go i acc =
+      if i < 0 then acc
+      else
+        go (i - 1)
+          ((ints.(base + o_sack + (2 * i)), ints.(base + o_sack + (2 * i) + 1))
+          :: acc)
+    in
+    go (n - 1) []
 
 (* --- mutators ----------------------------------------------------------- *)
 

@@ -89,7 +89,10 @@ type t = {
   mutable retx_scan : int;  (** next hole candidate during recovery *)
   sacked : (int, unit) Hashtbl.t;
   retx_done : (int, unit) Hashtbl.t;  (** holes retransmitted this recovery *)
-  mutable timer_gen : int;  (** cancels stale RTO timers *)
+  rto_timer : floatarray;
+      (** [| deadline; live event time |], [infinity] = none (see
+          [restart_timer]) *)
+  mutable timer_gen : int;  (** identifies the one live RTO event *)
   mutable peer_adv : W.Adv.t;  (** last window advertisement from the peer *)
   mutable in_persist : bool;  (** zero-window persist mode *)
   mutable persist_gen : int;  (** cancels stale persist timers *)
@@ -261,12 +264,33 @@ let next_hole t =
 let rto_ev, set_rto_ev = Event.declare ~name:"flow.rto"
 let persist_ev, set_persist_ev = Event.declare ~name:"flow.persist"
 
-let rec restart_timer t =
-  t.timer_gen <- t.timer_gen + 1;
-  let gen = t.timer_gen in
-  Sim.after_ev t.sim (Rto.value t.rto) (rto_ev t gen)
+(* The RTO is a lazy deadline. [rto_timer] holds two floats — an
+   all-float plane, because a float stored into a mixed record boxes:
+   the deadline, and the time of the one live [flow.rto] event
+   ([infinity] for none). Restarting the timer on every advancing ACK
+   only moves the deadline; an event is scheduled only when none is
+   pending at or before it. An event that fires before the deadline
+   re-arms itself at the deadline, so the timeout still fires at
+   exactly [now +. Rto.value] of the last restart. *)
+let deadline = 0
+let live_at = 1
 
-and cancel_timer t = t.timer_gen <- t.timer_gen + 1
+(* Schedule the live RTO event at [at]; an event already pending goes
+   stale (its generation no longer matches). *)
+let arm_rto t at =
+  t.timer_gen <- t.timer_gen + 1;
+  Float.Array.set t.rto_timer live_at at;
+  Sim.at_ev t.sim (Units.Time.of_s at) (rto_ev t t.timer_gen)
+
+let rec restart_timer t =
+  let at = Sim.now t.sim +. Units.Time.to_s (Rto.value t.rto) in
+  Float.Array.set t.rto_timer deadline at;
+  (* The deadline can also move earlier: the first RTT sample shrinks
+     the initial 1 s RTO, and the first ACK after a backoff resets it. *)
+  if Float.Array.get t.rto_timer live_at > at then arm_rto t at
+
+(* Disarms the deadline; the pending event finds it gone and lapses. *)
+and cancel_timer t = Float.Array.set t.rto_timer deadline infinity
 
 and try_send t =
   if not t.stopped then begin
@@ -388,11 +412,22 @@ and abort_connection t =
   end
 
 (* Timer handlers, installed now that the recursive sender block exists.
-   The generation guards are exactly the ones the old closures carried. *)
+   A stale RTO event (generation moved on) does nothing. The live one
+   either woke before its deadline and re-arms there, or finds the
+   deadline reached (or cancelled) and times out if the flow still runs
+   with data outstanding. *)
 let () =
   set_rto_ev (fun t gen ->
-      if gen = t.timer_gen && (not t.stopped) && outstanding t > 0 then
-        on_timeout t);
+      if gen = t.timer_gen then begin
+        let at = Float.Array.get t.rto_timer deadline in
+        if Float.is_finite at && Sim.now t.sim < at then arm_rto t at
+        else begin
+          Float.Array.set t.rto_timer live_at infinity;
+          Float.Array.set t.rto_timer deadline infinity;
+          if Float.is_finite at && (not t.stopped) && outstanding t > 0 then
+            on_timeout t
+        end
+      end);
   set_persist_ev (fun t gen ->
       if gen = t.persist_gen && t.in_persist && not t.stopped then begin
         send_probe t;
@@ -408,30 +443,39 @@ let start_ev =
 
 (* --- sender ------------------------------------------------------------ *)
 
-(* Returns how many previously unknown segments the blocks SACK. *)
-let record_sack t blocks =
-  let fresh = ref 0 in
-  List.iter
-    (fun (lo, hi) ->
-      for s = lo to hi - 1 do
-        if s >= t.snd_una && not (Hashtbl.mem t.sacked s) then begin
-          Hashtbl.replace t.sacked s ();
-          if s > t.max_sacked then t.max_sacked <- s;
-          incr fresh
-        end
-      done)
-    blocks;
-  !fresh
+(* Returns how many previously unknown segments the blocks SACK. The
+   SACK-less ACK, by far the common one, builds no closure. *)
+let record_sack t = function
+  | [] -> 0
+  | blocks ->
+      let fresh = ref 0 in
+      List.iter
+        (fun (lo, hi) ->
+          for s = lo to hi - 1 do
+            if s >= t.snd_una && not (Hashtbl.mem t.sacked s) then begin
+              Hashtbl.replace t.sacked s ();
+              if s > t.max_sacked then t.max_sacked <- s;
+              incr fresh
+            end
+          done)
+        blocks;
+      !fresh
 
 (* Returns how many entries were purged (needed for pipe accounting on a
-   cumulative advance). *)
+   cumulative advance). An empty scoreboard, the common case on an
+   advancing ACK, is answered without folding over the table. *)
 let purge_sacked_below t seq =
-  (* Collect first: removing during Hashtbl.iter is unspecified. *)
-  let dead =
-    Hashtbl.fold (fun s () acc -> if s < seq then s :: acc else acc) t.sacked []
-  in
-  List.iter (fun s -> Hashtbl.remove t.sacked s) dead;
-  List.length dead
+  if Hashtbl.length t.sacked = 0 then 0
+  else begin
+    (* Collect first: removing during Hashtbl.iter is unspecified. *)
+    let dead =
+      Hashtbl.fold
+        (fun s () acc -> if s < seq then s :: acc else acc)
+        t.sacked []
+    in
+    List.iter (fun s -> Hashtbl.remove t.sacked s) dead;
+    List.length dead
+  end
 
 let apply_reduction t factor ~now =
   let w = t.window in
@@ -823,6 +867,7 @@ let create topo ~src ~dst ~cc ?(ecn = false) ?total_pkts ?start
       retx_scan = 0;
       sacked = Hashtbl.create 64;
       retx_done = Hashtbl.create 64;
+      rto_timer = Float.Array.make 2 infinity;
       timer_gen = 0;
       (* the peer's initial advertisement, learned from the SYN *)
       peer_adv = W.advertised rcv_space;
@@ -930,11 +975,22 @@ let rto_value t = Rto.value t.rto
 
 let debug_state t =
   Printf.sprintf
-    "una=%d next=%d pipe=%d cwnd=%.2f ssthresh=%.2f dupacks=%d rec=%b rp=%d sacked=%d stopped=%b persist=%b peer_adv=%d"
+    "una=%d next=%d pipe=%d cwnd=%.2f ssthresh=%.2f dupacks=%d rec=%b rp=%d sacked=%d stopped=%b persist=%b peer_adv=%d rto_deadline=%.17g rto_event=%.17g now=%.17g"
     t.snd_una t.snd_next t.pipe t.window.Cc.Window.cwnd
     t.window.Cc.Window.ssthresh t.dupacks t.in_recovery t.recovery_point
     (Hashtbl.length t.sacked) t.stopped t.in_persist
     (W.Adv.to_field t.peer_adv)
+    (Float.Array.get t.rto_timer deadline)
+    (Float.Array.get t.rto_timer live_at)
+    (Sim.now t.sim)
+
+(* While data is outstanding the RTO must be armed: a finite deadline
+   and a live event pending no later than it. A deadline moved earlier
+   without a new event would make the timeout fire late. *)
+let rto_armed t =
+  let at = Float.Array.get t.rto_timer deadline in
+  let live = Float.Array.get t.rto_timer live_at in
+  Float.is_finite at && live <= at && live >= Sim.now t.sim
 
 let audit_check t =
   let finite = Float.is_finite in
@@ -954,6 +1010,14 @@ let audit_check t =
   else if t.in_persist && outstanding t > 0 then
     Some
       (Printf.sprintf "persist mode with %d packets outstanding (%s)"
+         (outstanding t) (debug_state t))
+  else if
+    t.started && (not t.stopped) && (not t.in_persist)
+    && outstanding t > 0
+    && not (rto_armed t)
+  then
+    Some
+      (Printf.sprintf "RTO not armed with %d packets outstanding (%s)"
          (outstanding t) (debug_state t))
   else
     match Option.map Units.Time.to_s (Rto.srtt t.rto) with

@@ -163,8 +163,10 @@ val audit_check : t -> string option
 (** Invariant check for {!Sim_engine.Audit}: cwnd finite and >= 1,
     ssthresh finite and positive, pipe non-negative, send sequence
     ordering intact, persist mode mutually exclusive with outstanding
-    data, smoothed RTT finite. Returns a diagnostic including
-    {!debug_state} on violation. *)
+    data, the RTO armed whenever a running flow outside persist has
+    data outstanding (a finite deadline, and the flow's one live timer
+    event pending no later than it), smoothed RTT finite. Returns a
+    diagnostic including {!debug_state} on violation. *)
 
 val liveness : t -> int option
 (** Progress counter for {!Sim_engine.Audit.add_stall_check}. [None]

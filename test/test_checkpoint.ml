@@ -203,6 +203,22 @@ let faults_like scheduler =
     }
     ~n:4
 
+(* A 2 s bottleneck outage inside the measured window: timeouts back
+   off across it, so some cuts land between an RTO event's early
+   wake-up and its deadline, and some inside a backoff. The flows start
+   in (0, 5) s, so the outage spans only events ~350-550 of ~16 k; its
+   cuts are drawn from the first 2000 events, around the outage. *)
+let outage_like scheduler =
+  {
+    (faults_like scheduler) with
+    D.fault =
+      Some
+        {
+          Netsim.Fault.none with
+          outages = Scheduled [ (Units.Time.s 3.0, Units.Time.s 5.0) ];
+        };
+  }
+
 let fig6_like scheduler =
   D.uniform_flows
     {
@@ -235,7 +251,7 @@ let fig9_like scheduler =
     }
     ~n:4
 
-let straight config = render (finish { built = D.build config; warm = false })
+let straight config = finish { built = D.build config; warm = false }
 
 (* The straight reference depends only on the config, not the cut; cache
    it so each QCheck case costs one interrupted run, not two full ones. *)
@@ -248,6 +264,12 @@ let straight_cached =
         let r = straight config in
         Hashtbl.add cache key r;
         r
+
+(* The outage input only covers re-armed and backed-off RTOs if the
+   straight run actually times out. *)
+let outage_run_loses () =
+  let r = straight_cached ("faults-outage", true) (outage_like `Wheel) in
+  Alcotest.(check bool) "straight run has loss events" true (r.D.loss_events > 0)
 
 let cut_resume config ~cut =
   let w = { built = D.build config; warm = false } in
@@ -266,14 +288,14 @@ let cut_resume config ~cut =
       Sim.clear_budget sim2;
       render (finish w2)
 
-let cut_invariance name mk_config =
+let cut_invariance ?(cuts = QCheck.int_range 500 60_000) name mk_config =
   QCheck.Test.make ~count:6
     ~name:(name ^ " is cut-point invariant (random checkpoint event count)")
-    QCheck.(pair (int_range 500 60_000) bool)
+    QCheck.(pair cuts bool)
     (fun (cut, wheel) ->
       let scheduler = if wheel then `Wheel else `Heap in
       let config = mk_config scheduler in
-      let reference = straight_cached (name, wheel) config in
+      let reference = render (straight_cached (name, wheel) config) in
       String.equal reference (cut_resume config ~cut))
 
 let suite =
@@ -287,10 +309,13 @@ let suite =
     ( "foreign and corrupt snapshots are refused",
       `Quick,
       rejects_foreign_and_corrupt );
+    ("faults-outage straight run loses packets", `Quick, outage_run_loses);
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         cut_invariance "faults-lossy" faults_like;
+        cut_invariance ~cuts:(QCheck.int_range 300 2_000) "faults-outage"
+          outage_like;
         cut_invariance "fig6-pert-ecn" fig6_like;
         cut_invariance "fig9-web" fig9_like;
         cut_invariance "fig6-pert-pi"

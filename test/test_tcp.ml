@@ -278,6 +278,10 @@ let timeout_on_blackout () =
 
 (* --- link outages ------------------------------------------------------------ *)
 
+let check_audit what flow =
+  Alcotest.(check (option string)) (what ^ ": audit clean") None
+    (Flow.audit_check flow)
+
 let blackout_backoff_and_recovery () =
   (* Take the bottleneck down for 20 s mid-transfer: the RTO must back off
      exponentially (a handful of timeouts, not one per min_rto), and the
@@ -287,20 +291,94 @@ let blackout_backoff_and_recovery () =
     Flow.create fx.topo ~src:fx.src ~dst:fx.dst ~cc:(Cc.newreno ()) ()
   in
   Sim.run ~until:(ts 0.5) fx.sim;
+  check_audit "warm" flow;
   let acked_before = Flow.acked_pkts flow in
   check_bool "warm before the outage" true (acked_before > 0);
   Link.set_up fx.bottleneck false;
   Sim.run ~until:(ts 20.5) fx.sim;
+  check_audit "outage" flow;
   let during = Flow.timeouts flow in
   check_bool "exponential backoff: a few timeouts, not ~100" true
     (during >= 3 && during <= 10);
   check_bool "rto grew under backoff" true (tf (Flow.rto_value flow) > 2.0);
   Link.set_up fx.bottleneck true;
   Sim.run ~until:(ts 45.0) fx.sim;
+  check_audit "recovered" flow;
   check_bool "transfer resumed after recovery" true
     (Flow.acked_pkts flow > acked_before + 100);
   check_bool "backoff reset by the first post-recovery ACK" true
     (tf (Flow.rto_value flow) < 1.0);
+  Flow.stop flow
+
+(* Exact RTO instants (RFC 6298 5.3/5.5). The timer is restarted by
+   every advancing ACK, so with the bottleneck down the first timeout
+   fires at the last ACK plus the RTO then in force, and each further
+   one a doubled RTO after the previous. *)
+
+let last_ack_time flow =
+  let times, _, _ = Flow.rtt_trace flow in
+  times.(Array.length times - 1)
+
+let traced_flow fx =
+  (* capped below BDP + buffer: the warm-up is loss-free *)
+  let flow =
+    Flow.create fx.topo ~src:fx.src ~dst:fx.dst ~cc:(Cc.newreno ())
+      ~max_cwnd:30.0 ()
+  in
+  Flow.enable_rtt_trace flow;
+  Flow.enable_loss_trace flow;
+  flow
+
+let rto_fires_at_deadline_and_doubles () =
+  let fx = fixture () in
+  let flow = traced_flow fx in
+  Sim.run ~until:(ts 0.5) fx.sim;
+  check_audit "warm" flow;
+  check_int "loss-free warm-up" 0 (Flow.loss_events flow);
+  Link.set_up fx.bottleneck false;
+  (* the ACKs still in flight drain within an RTT; min_rto is 0.2 s *)
+  Sim.run ~until:(ts 0.6) fx.sim;
+  check_audit "drained" flow;
+  check_int "no timeout yet" 0 (Flow.timeouts flow);
+  let rto = tf (Flow.rto_value flow) in
+  let first = last_ack_time flow +. rto in
+  Sim.run ~until:(ts (first +. (rto /. 2.0))) fx.sim;
+  check_audit "first timeout" flow;
+  check_bool "first timeout at last ACK + RTO" true
+    (Float.equal first (Flow.loss_times flow).(0));
+  let doubled = tf (Flow.rto_value flow) in
+  check_bool "RTO doubled" true (Float.equal doubled (2.0 *. rto));
+  Sim.run ~until:(ts (first +. doubled +. rto)) fx.sim;
+  check_audit "second timeout" flow;
+  check_int "two timeouts" 2 (Flow.timeouts flow);
+  check_bool "second timeout one doubled RTO later" true
+    (Float.equal (first +. doubled) (Flow.loss_times flow).(1));
+  Flow.stop flow
+
+let rto_deadline_moves_earlier () =
+  (* At start the 1 s initial RTO arms the timer. The first RTT sample
+     shrinks the RTO to min_rto, moving the deadline earlier than that
+     first pending event; the link then goes down, so the timeout must
+     come at the last ACK plus the shrunk RTO, not at 1 s. *)
+  let fx = fixture () in
+  let flow = traced_flow fx in
+  Sim.run ~until:(ts 0.03) fx.sim;
+  check_audit "first samples" flow;
+  let samples, _, _ = Flow.rtt_trace flow in
+  check_bool "RTT sampled" true (Array.length samples > 0);
+  Link.set_up fx.bottleneck false;
+  Sim.run ~until:(ts 0.1) fx.sim;
+  check_audit "drained" flow;
+  check_int "no loss yet" 0 (Flow.loss_events flow);
+  let rto = tf (Flow.rto_value flow) in
+  check_bool "RTO shrank below the initial 1 s" true (rto < 1.0);
+  let expected = last_ack_time flow +. rto in
+  check_bool "shrunk deadline precedes the initial one" true (expected < 1.0);
+  Sim.run ~until:(ts (expected +. (rto /. 2.0))) fx.sim;
+  check_audit "timed out" flow;
+  check_int "one timeout" 1 (Flow.timeouts flow);
+  check_bool "timeout at last ACK + shrunk RTO" true
+    (Float.equal expected (Flow.loss_times flow).(0));
   Flow.stop flow
 
 let stop_cancels_pending_rto () =
@@ -652,6 +730,9 @@ let suite =
     ("rto rejects non-finite", `Quick, rto_rejects_non_finite);
     ("rto backoff caps at max", `Quick, rto_backoff_caps_at_max);
     ("blackout backoff + recovery", `Quick, blackout_backoff_and_recovery);
+    ("rto fires at deadline, then doubles", `Quick,
+      rto_fires_at_deadline_and_doubles);
+    ("rto deadline moves earlier", `Quick, rto_deadline_moves_earlier);
     ("stop cancels pending rto", `Quick, stop_cancels_pending_rto);
     ("reno increase rules", `Quick, reno_increase_rules);
     ("vegas increases when uncongested", `Quick, vegas_increases_when_uncongested);
