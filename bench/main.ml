@@ -443,6 +443,40 @@ let alloc_flow_ack () =
   (* no delayed ACKs and no loss: each ACK acknowledges one segment *)
   (words, Tcpstack.Flow.acked_pkts flow - acked0)
 
+(* One batched 100 Mbps / 1 ms DropTail link in a closed loop: each
+   delivery frees its packet and sends a fresh one, so [window] packets
+   circulate and the queue holds a few of them. Words per delivered
+   packet are the whole hop, send to deliver: the discipline, the
+   queue-length average, materialisation, the delivery event and the
+   scheduler. *)
+let alloc_link_hop () =
+  let sim = Sim_engine.Sim.create ~seed:1 () in
+  let a = Netsim.Packet.create_arena () in
+  let link =
+    Netsim.Link.create sim ~arena:a ~name:"hop"
+      ~bandwidth:(Units.Rate.bps 100e6) ~delay:(Units.Time.s 0.001)
+      ~disc:(Netsim.Droptail.create ~limit_pkts:1000)
+  in
+  let hops = ref 0 in
+  let fresh () =
+    Netsim.Packet.data a ~flow:0 ~src:0 ~dst:1 ~seq:0 ~ecn:false
+      ~now:(Sim_engine.Sim.now sim) ()
+  in
+  Netsim.Link.set_deliver link (fun p ->
+      incr hops;
+      Netsim.Packet.free a p;
+      Netsim.Link.send link (fresh ()));
+  let window = 16 in
+  for _ = 1 to window do
+    Netsim.Link.send link (fresh ())
+  done;
+  (* warm: the pipe and the scheduler reach their steady footprint *)
+  Sim_engine.Sim.run ~until:(Units.Time.s 0.1) sim;
+  let hops0 = !hops in
+  let w0 = Gc.minor_words () in
+  Sim_engine.Sim.run ~until:(Units.Time.s 2.1) sim;
+  (Gc.minor_words () -. w0, !hops - hops0)
+
 let alloc_red_enqueue () =
   let rng = Sim_engine.Rng.create 3 in
   let params = Netsim.Red.auto_params ~capacity_pps:1000.0 ~limit_pkts:100 () in
@@ -537,6 +571,7 @@ let alloc_profiles =
     ("prim:pert-on-ack", alloc_pert_ack);
     ("prim:red-enqueue", alloc_red_enqueue);
     ("prim:flow-ack", alloc_flow_ack);
+    ("prim:link-hop", alloc_link_hop);
   ]
 
 let measure_alloc () =

@@ -112,6 +112,27 @@ let at_ev t time ev =
   sched_add t ~time ~seq:t.next_seq ev;
   t.next_seq <- t.next_seq + 1
 
+(* [at_ev] in two steps, for Link's delivery pipe: the seq is drawn now,
+   the event enters the store later under it. Both stores order by
+   (time, seq) alone, so the event pops where an [at_ev] at reservation
+   time would have put it, provided it is added before any later key
+   pops. *)
+let reserve_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let at_ev_seq t time ~seq ev =
+  let time = Units.Time.to_s time in
+  if time < t.clock then
+    invalid_arg
+      (Printf.sprintf "Sim.at_ev_seq: time %g is before now %g" time t.clock);
+  if seq < 0 || seq >= t.next_seq then
+    invalid_arg
+      (Printf.sprintf "Sim.at_ev_seq: seq %d was never reserved (next is %d)"
+         seq t.next_seq);
+  sched_add t ~time ~seq ev
+
 let after_ev t delay ev =
   let delay = Units.Time.to_s delay in
   if delay < 0.0 then invalid_arg "Sim.after_ev: negative delay";

@@ -34,6 +34,20 @@ val at_ev : t -> Units.Time.t -> Event.t -> unit
     [time >= now t]. A pending {!Event.t} is plain data, so
     {!Snapshot.save} can write it. *)
 
+val reserve_seq : t -> int
+(** [reserve_seq t] draws the tie-break seq that {!at_ev} would draw now,
+    without scheduling anything. Pair it with {!at_ev_seq} to schedule
+    later under the key the event would have had if scheduled now. *)
+
+val at_ev_seq : t -> Units.Time.t -> seq:int -> Event.t -> unit
+(** [at_ev_seq t time ~seq ev] schedules [ev] at [time] under a seq
+    drawn earlier by {!reserve_seq}. Events pop in [(time, seq)] order
+    whenever they were added, so an event added before any later key
+    pops runs exactly where an {!at_ev} at reservation time would have.
+    Each reserved seq must be scheduled at most once.
+    @raise Invalid_argument if [time < now t] or [seq] was never
+    reserved. *)
+
 val after_ev : t -> Units.Time.t -> Event.t -> unit
 (** [after_ev t delay ev] schedules [ev] at [now t +. delay].
     [delay >= 0]. *)

@@ -41,9 +41,11 @@ module Time_weighted = struct
     t.integral <- t.integral +. (t.last_value *. (now -. t.last_time));
     t.last_time <- now
 
+  (* [value] is an int (its one caller samples a queue length): a float
+     argument would box at every call. *)
   let update t ~now ~value =
     advance t now;
-    t.last_value <- value
+    t.last_value <- float_of_int value
 
   let average t ~now =
     let span = now -. t.window_start in

@@ -25,8 +25,9 @@ module Time_weighted : sig
   type t
 
   val create : start:float -> value:float -> t
-  val update : t -> now:float -> value:float -> unit
-  (** Record that the signal changed to [value] at time [now]. *)
+  val update : t -> now:float -> value:int -> unit
+  (** Record that the signal changed to [value] at time [now]. The signal
+      is a count (a queue length); an [int] crosses the call unboxed. *)
 
   val average : t -> now:float -> float
   (** Time-weighted mean over [\[start, now\]]. *)

@@ -8,21 +8,23 @@ module Rate = Units.Rate
 type event = Enqueue | Dequeue | Receive | Drop
 type service = Eager | Batched
 
-(* Batched-mode server state lives in a [floatarray] plane: as mutable
+(* The link's float state lives in a [floatarray] plane: as mutable
    float fields of the mixed record below every store would box
-   (pertalloc rule A2). *)
+   (pertalloc rule A2), and reading a plane slot costs no call. *)
 let b_sched_free = 0 (* finish time of the last materialized transmission *)
 let b_restart = 1 (* head restarts here after idle/outage, if > sched_free *)
 let b_anchor = 2 (* earliest pending anchor event; infinity = none *)
+let b_bps = 3 (* bandwidth, bits/s *)
+let b_delay = 4 (* propagation delay, s *)
+let b_jitter = 5 (* jitter bound, s; 0 = none *)
+let b_due = 6 (* delivery instant staged for [pipe_push] *)
+let b_slots = 7
 
 type t = {
   sim : Sim.t;
   name : string;
   arena : Packet.arena;
   service : service;
-  bandwidth : Rate.t;
-  delay : Time.t;
-  jitter : Time.t;
   jitter_rng : Sim_engine.Rng.t;
   disc : Queue_disc.t;
   mutable deliver : Packet.t -> unit;
@@ -38,6 +40,17 @@ type t = {
   (* Preallocated batched-mode anchor event (see [arm_anchor]). *)
   mutable anchor_ev : Event.t;
   bs : floatarray;
+  (* The delivery pipe (see [pipe_push]): a ring of packets on the wire,
+     one plane per field, in (due, seq) order from [p_head]. Capacity is
+     0 or a power of two. *)
+  mutable p_pkt : int array;
+  mutable p_seq : int array;
+  mutable p_due : floatarray;
+  mutable p_armed : Bytes.t;  (* '\001' = has a pending event *)
+  mutable p_head : int;
+  mutable p_len : int;
+  (* Preallocated delivery event, shared by every armed pipe entry. *)
+  mutable pipe_ev : Event.t;
   (* lifetime accounting (never reset): conservation invariant *)
   mutable life_arrivals : int;
   mutable life_drops : int;
@@ -60,20 +73,22 @@ type t = {
    link plus the (per-enable, fixed) sampling interval. *)
 type qtrace = { qt_link : t; qt_interval : Time.t }
 
-(* The per-packet delivery event kind. Declared up front (two-step): its
-   handler is [deliver_event], which lives inside the batched-service
-   recursive knot below. The packet rides in the unboxed [int] slot of
-   {!Event.define2} form events, so one 4-word event record per packet
-   replaces the old one-closure-per-packet — and, being plain data, it
-   survives a checkpoint. *)
-let deliver_ev, set_deliver_ev = Event.declare ~name:"link.deliver"
-
 let[@inline] sched_free t = Float.Array.unsafe_get t.bs b_sched_free
 let[@inline] set_sched_free t v = Float.Array.unsafe_set t.bs b_sched_free v
 let[@inline] restart_at t = Float.Array.unsafe_get t.bs b_restart
 let[@inline] set_restart_at t v = Float.Array.unsafe_set t.bs b_restart v
 let[@inline] anchor_next t = Float.Array.unsafe_get t.bs b_anchor
 let[@inline] set_anchor_next t v = Float.Array.unsafe_set t.bs b_anchor v
+let[@inline] bps t = Float.Array.unsafe_get t.bs b_bps
+let[@inline] delay t = Float.Array.unsafe_get t.bs b_delay
+let[@inline] jitter t = Float.Array.unsafe_get t.bs b_jitter
+let[@inline] due t = Float.Array.unsafe_get t.bs b_due
+let[@inline] set_due t v = Float.Array.unsafe_set t.bs b_due v
+
+(* Serialisation time of [size] bytes: the float operations of
+   [Units.Size.tx_time], whose boxed return would cost two words per
+   packet at the (non-inlined) module boundary. *)
+let[@inline] tx_seconds t size = float_of_int (8 * size) /. bps t
 
 (* Start of the next unmaterialized transmission: back-to-back with the
    previous one, unless the server restarted later (idle, outage end). *)
@@ -107,7 +122,114 @@ let note_queue_change t ~now =
      cannot see into; every discipline's accessors are allocation-free. *)
   let len = (t.disc.Queue_disc.pkt_length () [@lint.allow "A1"]) in
   if len > t.qmax then t.qmax <- len;
-  Stats.Time_weighted.update t.qavg ~now ~value:(float_of_int len)
+  Stats.Time_weighted.update t.qavg ~now ~value:len
+
+(* --- the delivery pipe ----------------------------------------------------
+
+   Packets on the wire wait in the pipe until their delivery instant. A
+   link without jitter delivers in FIFO order, so one pending event per
+   busy link carries all the scheduler needs: the pipe keeps its entries
+   in (due, seq) order and only the head has an event.
+
+   Each entry's [seq] is reserved ({!Sim.reserve_seq}) when the packet
+   goes on the wire, and the entry is scheduled ({!Sim.at_ev_seq}) under
+   that seq once it reaches the head. Invariant: the head is armed, i.e.
+   has one pending [pipe_ev] at its own key. The scheduler therefore
+   pops the head's key before any other entry's, and the head is armed
+   before any event keyed after it can pop, so every delivery runs at
+   the (time, seq) position an event scheduled at push time would have
+   had.
+
+   Jitter lets a packet overtake: a push that lands at the head arms the
+   new head while the old head, now second, keeps its pending event
+   ([p_armed] records which entries have one). That event fires after
+   the overtaker's, when its entry is the head again. *)
+
+let[@inline] pipe_mask t = Array.length t.p_pkt - 1
+let[@inline] pipe_slot t k = (t.p_head + k) land pipe_mask t
+
+(* [@lint.allow "A1"]: doubling amortises the fresh planes to O(1) words
+   per packet, and a pipe at its steady-state population never grows
+   again. Entries are unrolled to start at slot 0. *)
+let[@lint.allow "A1"] pipe_grow t =
+  let cap = Array.length t.p_pkt in
+  let cap' = if cap = 0 then 8 else 2 * cap in
+  let pkts = Array.make cap' 0 and seqs = Array.make cap' 0 in
+  let dues = Float.Array.make cap' 0.0 and armed = Bytes.make cap' '\000' in
+  for k = 0 to t.p_len - 1 do
+    let i = pipe_slot t k in
+    Array.unsafe_set pkts k (Array.unsafe_get t.p_pkt i);
+    Array.unsafe_set seqs k (Array.unsafe_get t.p_seq i);
+    Float.Array.unsafe_set dues k (Float.Array.unsafe_get t.p_due i);
+    Bytes.unsafe_set armed k (Bytes.unsafe_get t.p_armed i)
+  done;
+  t.p_pkt <- pkts;
+  t.p_seq <- seqs;
+  t.p_due <- dues;
+  t.p_armed <- armed;
+  t.p_head <- 0
+
+let[@inline] armed t i = Bytes.unsafe_get t.p_armed i <> '\000'
+
+(* Schedule the delivery event for the entry in ring slot [i]. *)
+let pipe_arm t i =
+  Bytes.unsafe_set t.p_armed i '\001';
+  Sim.at_ev_seq t.sim
+    (Time.s (Float.Array.unsafe_get t.p_due i))
+    ~seq:(Array.unsafe_get t.p_seq i) t.pipe_ev
+
+(* Insertion from the tail: opens a hole at logical position [k] and
+   moves it towards the head past every entry due strictly later than
+   the staged instant. The new entry's seq is the newest, so it goes
+   after entries due at the same instant. Without jitter nothing is
+   ever due later, and the first test stops. *)
+let rec pipe_sift t k =
+  if k = 0 then k
+  else
+    let prev = pipe_slot t (k - 1) in
+    if Float.Array.unsafe_get t.p_due prev > due t then begin
+      let hole = pipe_slot t k in
+      Array.unsafe_set t.p_pkt hole (Array.unsafe_get t.p_pkt prev);
+      Array.unsafe_set t.p_seq hole (Array.unsafe_get t.p_seq prev);
+      Float.Array.unsafe_set t.p_due hole (Float.Array.unsafe_get t.p_due prev);
+      Bytes.unsafe_set t.p_armed hole (Bytes.unsafe_get t.p_armed prev);
+      pipe_sift t (k - 1)
+    end
+    else k
+
+(* Put [pkt] on the wire, due at the instant staged in [b_due] (a float
+   argument would box at the call), under the freshly reserved [seq]. *)
+let pipe_push t pkt seq =
+  if t.p_len = Array.length t.p_pkt then pipe_grow t;
+  let k = pipe_sift t t.p_len in
+  let i = pipe_slot t k in
+  Array.unsafe_set t.p_pkt i pkt;
+  Array.unsafe_set t.p_seq i seq;
+  Float.Array.unsafe_set t.p_due i (due t);
+  Bytes.unsafe_set t.p_armed i '\000';
+  t.p_len <- t.p_len + 1;
+  if k = 0 then pipe_arm t i
+
+(* Pipe audit: [None] when the entries are in (due, seq) order and the
+   head is armed, else a diagnostic. *)
+let pipe_error t =
+  let rec unsorted k =
+    if k >= t.p_len then None
+    else
+      let a = pipe_slot t (k - 1) and b = pipe_slot t k in
+      let da = Float.Array.get t.p_due a and db = Float.Array.get t.p_due b in
+      if da < db || (Float.equal da db && t.p_seq.(a) < t.p_seq.(b)) then
+        unsorted (k + 1)
+      else
+        Some
+          (Printf.sprintf
+             "delivery pipe out of order at entry %d: (%.17g, %d) before \
+              (%.17g, %d)"
+             k da t.p_seq.(a) db t.p_seq.(b))
+  in
+  if t.p_len > 0 && not (armed t t.p_head) then
+    Some "delivery pipe head has no pending event"
+  else unsorted 1
 
 (* --- batched service ----------------------------------------------------
 
@@ -117,9 +239,9 @@ let note_queue_change t ~now =
    back-to-back) and materializes the dequeue bookkeeping lazily, in
    batches, whenever the link is next observed — an arrival, a delivery,
    a stats read, or the safety-net anchor event. Each materialized
-   packet still gets its own delivery event (causality: the receiver
-   reacts at the exact arrival instant), but the per-packet tx-complete
-   event disappears; [Sim.charge_events] keeps the logical event count.
+   packet enters the delivery pipe (the receiver still reacts at the
+   exact arrival instant), and the per-packet tx-complete event
+   disappears; [Sim.charge_events] keeps the logical event count.
 
    Invariants:
    - packets are materialized in FIFO order, with historical timestamps
@@ -161,33 +283,18 @@ and materialize_one t ~start ~charge =
   t.in_flight <- t.in_flight + 1;
   let size = Packet.size t.arena pkt in
   t.bytes_sent <- t.bytes_sent + size;
-  let tx = Time.to_s (Units.Size.tx_time (Units.Size.bytes size) t.bandwidth) in
-  let finish = start +. tx in
+  let finish = start +. tx_seconds t size in
   set_sched_free t finish;
   let extra =
-    if Time.to_s t.jitter > 0.0 then
-      Sim_engine.Rng.float t.jitter_rng (Time.to_s t.jitter)
+    if jitter t > 0.0 then Sim_engine.Rng.float t.jitter_rng (jitter t)
     else 0.0
   in
-  (* The delivery event must carry this packet — one event record per
-     packet is the irreducible cost of parallel propagation, the same
-     cost the eager path's [tx_complete] pays. *)
-  Sim.at_ev t.sim
-    (Time.s (finish +. Time.to_s t.delay +. extra))
-    (deliver_ev t (pkt :> int) [@lint.allow "A1"]);
+  set_due t (finish +. delay t +. extra);
+  pipe_push t (pkt :> int) (Sim.reserve_seq t.sim);
   (* The tx-complete event this materialization replaced, kept in the
      logical event count (budgets, events_executed). Not charged from
      stats accessors: reading a counter must never trip a budget. *)
   if charge then Sim.charge_events t.sim 1
-
-and deliver_event t pkt =
-  (* Earlier service starts are part of this instant's past: materialize
-     them first so hooks observe events in chronological order. *)
-  catch_up t ~charge:true;
-  emit t ~now:(Sim.now t.sim) Receive pkt;
-  t.in_flight <- t.in_flight - 1;
-  t.delivered <- t.delivered + 1;
-  t.deliver pkt
 
 (* Safety-net event: with no arrival or delivery to piggyback on, the
    next unmaterialized transmission must still be realized before its
@@ -199,7 +306,7 @@ and deliver_event t pkt =
    harmless no-op catch-up. *)
 and arm_anchor t =
   if (t.disc.Queue_disc.pkt_length () [@lint.allow "A1"]) > 0 then begin
-    let a = next_start t +. Time.to_s t.delay in
+    let a = next_start t +. delay t in
     if a < anchor_next t then begin
       set_anchor_next t a;
       Sim.at_ev t.sim (Time.s a) t.anchor_ev
@@ -211,8 +318,26 @@ let anchor_tick t =
   set_anchor_next t infinity;
   catch_up t ~charge:true
 
-let () =
-  set_deliver_ev (fun t pkt -> deliver_event t (Packet.unsafe_of_int pkt))
+(* The pipe's delivery event: the head is the entry it was armed for
+   (see the pipe invariant), so pop it, arm its successor unless that
+   already has an event, and hand the packet over. *)
+let[@alloc.zero] pipe_fire t =
+  let i = t.p_head in
+  let pkt = Packet.unsafe_of_int (Array.unsafe_get t.p_pkt i) in
+  Bytes.unsafe_set t.p_armed i '\000';
+  t.p_head <- (i + 1) land pipe_mask t;
+  t.p_len <- t.p_len - 1;
+  if t.p_len > 0 && not (armed t t.p_head) then
+    pipe_arm t t.p_head;
+  (* Earlier service starts are part of this instant's past: materialize
+     them first so hooks observe events in chronological order. *)
+  catch_up t ~charge:true;
+  emit t ~now:(Sim.now t.sim) Receive pkt;
+  t.in_flight <- t.in_flight - 1;
+  t.delivered <- t.delivered + 1;
+  (* A1: the receiver's callback (a node, or a fault layer wrapping
+     one); its cost is charged where it is defined. *)
+  (t.deliver pkt [@lint.allow "A1"])
 
 (* --- eager service ------------------------------------------------------ *)
 
@@ -231,40 +356,34 @@ let[@alloc.zero] start_transmission t =
         emit t ~now Dequeue pkt;
         t.busy <- true;
         t.in_flight <- t.in_flight + 1;
-        let tx_time =
-          Units.Size.tx_time
-            (Units.Size.bytes (Packet.size t.arena pkt))
-            t.bandwidth
-        in
         t.tx_pkt <- pkt;
-        Sim.after_ev t.sim tx_time t.tx_done
+        Sim.at_ev t.sim
+          (Time.s (now +. tx_seconds t (Packet.size t.arena pkt)))
+          t.tx_done
 
 (* Runs when the head packet finishes serialising onto the wire.
-   Propagation proceeds in parallel with the next transmission;
-   per-packet jitter may reorder deliveries. *)
+   Propagation proceeds in parallel with the next transmission, through
+   the same delivery pipe as the batched service; per-packet jitter may
+   reorder deliveries. *)
 let[@alloc.zero] tx_complete t =
   let pkt = t.tx_pkt in
   t.bytes_sent <- t.bytes_sent + Packet.size t.arena pkt;
   let extra =
-    if Time.to_s t.jitter > 0.0 then
-      Time.s (Sim_engine.Rng.float t.jitter_rng (Time.to_s t.jitter))
-    else Time.zero
+    if jitter t > 0.0 then Sim_engine.Rng.float t.jitter_rng (jitter t)
+    else 0.0
   in
-  (* A1: the delivery event must carry this packet while the server moves
-     on to the next one — one event record per packet is the irreducible
-     cost of parallel propagation (it was two per packet before
-     [tx_done]). *)
-  Sim.after_ev t.sim (Time.add t.delay extra)
-    (deliver_ev t ((pkt :> int)) [@lint.allow "A1"]);
+  set_due t (Sim.now t.sim +. (delay t +. extra));
+  pipe_push t (pkt :> int) (Sim.reserve_seq t.sim);
   start_transmission t
 
 (* Preallocated event kinds for the per-link singleton events: built
    once per link at create, rescheduled forever after. *)
 let tx_kind = Event.define ~name:"link.tx" tx_complete
 let anchor_kind = Event.define ~name:"link.anchor" anchor_tick
+let pipe_kind = Event.define ~name:"link.pipe" pipe_fire
 
-(* Initial value of those two fields while [create] builds the record
-   they point back to. *)
+(* Initial value of those fields while [create] builds the record they
+   point back to. *)
 let unwired = Event.define ~name:"link.unwired" ignore ()
 
 (* --- arrivals ----------------------------------------------------------- *)
@@ -322,17 +441,17 @@ let create ?(jitter = Time.zero) ?(service = Batched) sim ~arena ~name
     invalid_arg "Link.create: bandwidth must be positive";
   if Time.to_s delay < 0.0 then invalid_arg "Link.create: negative delay";
   if Time.to_s jitter < 0.0 then invalid_arg "Link.create: negative jitter";
-  let bs = Float.Array.make 3 0.0 in
+  let bs = Float.Array.make b_slots 0.0 in
   Float.Array.set bs b_anchor infinity;
+  Float.Array.set bs b_bps (Rate.to_bps bandwidth);
+  Float.Array.set bs b_delay (Time.to_s delay);
+  Float.Array.set bs b_jitter (Time.to_s jitter);
   let t =
     {
       sim;
       name;
       arena;
       service;
-      bandwidth;
-      delay;
-      jitter;
       jitter_rng = Sim_engine.Rng.split (Sim.rng sim);
       disc;
       deliver = (fun _ -> invalid_arg "Link: deliver not wired");
@@ -345,6 +464,13 @@ let create ?(jitter = Time.zero) ?(service = Batched) sim ~arena ~name
       tx_done = unwired;
       anchor_ev = unwired;
       bs;
+      p_pkt = [||];
+      p_seq = [||];
+      p_due = Float.Array.create 0;
+      p_armed = Bytes.empty;
+      p_head = 0;
+      p_len = 0;
+      pipe_ev = unwired;
       life_arrivals = 0;
       life_drops = 0;
       delivered = 0;
@@ -363,6 +489,7 @@ let create ?(jitter = Time.zero) ?(service = Batched) sim ~arena ~name
   in
   t.tx_done <- tx_kind t;
   t.anchor_ev <- anchor_kind t;
+  t.pipe_ev <- pipe_kind t;
   t
 
 let set_up t up =
@@ -398,13 +525,23 @@ let conservation_error t =
   catch_up t ~charge:false;
   let queued = t.disc.Queue_disc.pkt_length () in
   let accounted = t.life_drops + queued + t.in_flight + t.delivered in
-  if t.life_arrivals = accounted then None
-  else
+  (* Every packet in flight is in the pipe, except the one an eager
+     server is still serialising. *)
+  let on_wire =
+    t.in_flight - if t.service = Eager && t.busy then 1 else 0
+  in
+  if t.life_arrivals <> accounted then
     Some
       (Printf.sprintf
          "packet conservation violated: %d arrivals <> %d dropped + %d \
           queued + %d in flight + %d delivered"
          t.life_arrivals t.life_drops queued t.in_flight t.delivered)
+  else if t.p_len <> on_wire then
+    Some
+      (Printf.sprintf
+         "delivery pipe holds %d packets, %d expected on the wire" t.p_len
+         on_wire)
+  else pipe_error t
 
 let avg_queue_pkts t =
   catch_up t ~charge:false;
@@ -418,7 +555,7 @@ let utilization t =
   catch_up t ~charge:false;
   let span = Sim.now t.sim -. t.window_start in
   if span <= 0.0 then 0.0
-  else float_of_int (8 * t.bytes_sent) /. (Rate.to_bps t.bandwidth *. span)
+  else float_of_int (8 * t.bytes_sent) /. (bps t *. span)
 
 let drop_rate t =
   if t.arrivals = 0 then 0.0

@@ -27,7 +27,12 @@ type t
     stats) still sees dequeues in chronological order with their true
     service times. Flow-level results are identical; only the
     intra-transmission timing of {!utilization}'s byte counter differs
-    (bytes are accounted at service start rather than service end). *)
+    (bytes are accounted at service start rather than service end).
+
+    Both services hand transmitted packets to the same delivery pipe: a
+    per-link queue of packets on the wire, ordered by delivery instant,
+    with one pending scheduler event for its head (two or more only
+    while jitter lets a packet overtake). *)
 type service = Eager | Batched
 
 val create :
@@ -94,9 +99,13 @@ val outage_drops : t -> int
 
 val conservation_error : t -> string option
 (** Packet-conservation invariant over lifetime counters:
-    [arrivals = dropped + queued + in_flight + delivered]. Returns a
-    diagnostic when accounting has drifted — the {!Sim_engine.Audit}
-    check registered per link by the experiment harness. *)
+    [arrivals = dropped + queued + in_flight + delivered], plus the
+    delivery pipe's own invariants: it holds every packet in flight
+    except one an eager server is still serialising, its entries are in
+    (delivery time, seq) order, and its head has a pending event.
+    Returns a diagnostic when any of them has drifted — the
+    {!Sim_engine.Audit} check registered per link by the experiment
+    harness. *)
 
 val avg_queue_pkts : t -> Units.Pkts.t
 (** Time-weighted average queue length since the last {!reset_stats}. *)

@@ -22,9 +22,10 @@ let detach_agent t ~flow = Hashtbl.remove t.agents flow
    Forwarding transfers ownership to the next link. *)
 let receive t pkt =
   if Packet.dst t.arena pkt = t.id then begin
-    (match Hashtbl.find_opt t.agents (Packet.flow t.arena pkt) with
-    | Some handler -> handler pkt
-    | None -> ());
+    (* [find] rather than [find_opt]: no [Some] per delivered packet. *)
+    (match Hashtbl.find t.agents (Packet.flow t.arena pkt) with
+    | handler -> handler pkt
+    | exception Not_found -> ());
     Packet.free t.arena pkt
   end
   else

@@ -30,8 +30,8 @@ val none : t
 
 val unsafe_of_int : int -> t
 (** [unsafe_of_int i] rebuilds a handle from its integer image
-    [(pkt :> int)] — the inverse of the coercion the defunctionalized
-    per-packet event kinds use to carry the packet in {!Event.define2}'s
+    [(pkt :> int)] — the inverse of the coercion that stores a packet in
+    an int plane (the link's delivery pipe) or in {!Event.define2}'s
     unboxed slot. No validation: only feed back integers obtained from
     the coercion, with the packet still live in the same arena. *)
 

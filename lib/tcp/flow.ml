@@ -865,8 +865,8 @@ let create topo ~src ~dst ~cc ?(ecn = false) ?total_pkts ?start
       max_sent = 0;
       max_sacked = -1;
       retx_scan = 0;
-      sacked = Hashtbl.create 64;
-      retx_done = Hashtbl.create 64;
+      sacked = Hashtbl.create 8;
+      retx_done = Hashtbl.create 8;
       rto_timer = Float.Array.make 2 infinity;
       timer_gen = 0;
       (* the peer's initial advertisement, learned from the SYN *)

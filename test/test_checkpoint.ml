@@ -298,6 +298,68 @@ let cut_invariance ?(cuts = QCheck.int_range 500 60_000) name mk_config =
       let reference = render (straight_cached (name, wheel) config) in
       String.equal reference (cut_resume config ~cut))
 
+(* --- the delivery pipe across a restore ----------------------------------
+
+   A jittered link cut while its delivery pipe holds an overtaking
+   entry. Two packets are sent together at t=0; with this seed the
+   second one's jitter draw is smaller than the first's by more than a
+   serialisation time, so it is due first. At the cut both are on the
+   wire (the batched server materialised the second at its anchor,
+   [tx + delay]; the eager one finished it at [2 tx]) and neither is
+   delivered, so the pipe holds the overtaker at its head and the first
+   packet behind it: two pending delivery events for one link. The
+   restored run must deliver exactly what the straight run delivers, at
+   the same instants, with more traffic arriving after the cut. *)
+
+type pipe_world = { plog : (int * float) list ref }
+
+let jittered_link service =
+  let sim = Sim.create ~seed:4 () in
+  let a = Netsim.Packet.create_arena () in
+  let link =
+    Netsim.Link.create ~service ~jitter:(Units.Time.s 0.01) sim ~arena:a
+      ~name:"j" ~bandwidth:(Units.Rate.bps 1e7) ~delay:(Units.Time.s 0.005)
+      ~disc:(Netsim.Droptail.create ~limit_pkts:100)
+  in
+  let plog = ref [] in
+  Netsim.Link.set_deliver link (fun p ->
+      plog := (Netsim.Packet.seq a p, Sim.now sim) :: !plog;
+      Netsim.Packet.free a p);
+  let send seq =
+    Netsim.Link.send link
+      (Netsim.Packet.data a ~flow:0 ~src:0 ~dst:1 ~seq ~ecn:false
+         ~now:(Sim.now sim) ())
+  in
+  Thunk.at sim (Units.Time.s 0.0) (fun () ->
+      send 0;
+      send 1);
+  for seq = 2 to 40 do
+    Thunk.at sim
+      (Units.Time.s (0.01 +. (0.0007 *. float_of_int seq)))
+      (fun () -> send seq)
+  done;
+  (sim, { plog })
+
+let pipe_restore_matches service () =
+  let tx = float_of_int (8 * Netsim.Packet.data_size) /. 1e7 in
+  let cut = 0.005 +. (1.5 *. tx) in
+  let sim, w = jittered_link service in
+  Sim.run ~until:(Units.Time.s cut) sim;
+  Alcotest.(check int) "nothing delivered before the cut" 0
+    (List.length !(w.plog));
+  let path = temp_snap () in
+  ignore (Sim.Snapshot.save sim ~world:w ~path);
+  Sim.run sim;
+  let straight = List.rev !(w.plog) in
+  (match straight with
+  | (1, _) :: (0, _) :: _ -> ()
+  | _ -> Alcotest.fail "precondition: packet 1 must overtake packet 0");
+  let sim2, (w2 : pipe_world) = Sim.Snapshot.load ~path in
+  cleanup path;
+  Sim.run sim2;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "restored delivery log = straight log" straight (List.rev !(w2.plog))
+
 let suite =
   [
     ( "event budget continues across a restore",
@@ -310,6 +372,12 @@ let suite =
       `Quick,
       rejects_foreign_and_corrupt );
     ("faults-outage straight run loses packets", `Quick, outage_run_loses);
+    ( "overtaking delivery pipe survives a restore (batched)",
+      `Quick,
+      pipe_restore_matches Netsim.Link.Batched );
+    ( "overtaking delivery pipe survives a restore (eager)",
+      `Quick,
+      pipe_restore_matches Netsim.Link.Eager );
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

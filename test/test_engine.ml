@@ -427,6 +427,37 @@ let sim_rejects_past () =
     (Invalid_argument "Sim.after_ev: negative delay") (fun () ->
       Sim.after_ev sim (ts (-1.0)) (Thunk.thunk ignore))
 
+(* A reserved seq keeps its place: an event scheduled later under a seq
+   reserved earlier pops before an equal-time event scheduled in
+   between. Scheduling into the past or under a seq never handed out is
+   refused. *)
+let sim_reserved_seq () =
+  let sim = Sim.create () in
+  let order = ref [] in
+  let note tag () = order := tag :: !order in
+  let seq = Sim.reserve_seq sim in
+  Thunk.at sim (ts 1.0) (note "scheduled first");
+  Sim.at_ev_seq sim (ts 1.0) ~seq (Thunk.thunk (note "reserved first"));
+  Sim.run sim;
+  Alcotest.(check (list string))
+    "pop order follows the reserved seq"
+    [ "reserved first"; "scheduled first" ]
+    (List.rev !order);
+  let seq = Sim.reserve_seq sim in
+  Alcotest.check_raises "scheduling into the past"
+    (Invalid_argument "Sim.at_ev_seq: time 0.5 is before now 1") (fun () ->
+      Sim.at_ev_seq sim (ts 0.5) ~seq (Thunk.thunk ignore));
+  Alcotest.check_raises "unreserved seq"
+    (Invalid_argument
+       (Printf.sprintf "Sim.at_ev_seq: seq %d was never reserved (next is %d)"
+          (seq + 1) (seq + 1)))
+    (fun () -> Sim.at_ev_seq sim (ts 2.0) ~seq:(seq + 1) (Thunk.thunk ignore));
+  Alcotest.check_raises "negative seq"
+    (Invalid_argument
+       (Printf.sprintf "Sim.at_ev_seq: seq -1 was never reserved (next is %d)"
+          (seq + 1)))
+    (fun () -> Sim.at_ev_seq sim (ts 2.0) ~seq:(-1) (Thunk.thunk ignore))
+
 let sim_counts_events () =
   let sim = Sim.create () in
   for i = 1 to 7 do
@@ -527,24 +558,24 @@ let acc_empty () =
 
 let tw_average () =
   let tw = Stats.Time_weighted.create ~start:0.0 ~value:0.0 in
-  Stats.Time_weighted.update tw ~now:1.0 ~value:10.0;
-  Stats.Time_weighted.update tw ~now:3.0 ~value:2.0;
+  Stats.Time_weighted.update tw ~now:1.0 ~value:10;
+  Stats.Time_weighted.update tw ~now:3.0 ~value:2;
   (* 0 for 1s, 10 for 2s, 2 for 1s -> (0 + 20 + 2) / 4 *)
   check_float "time-weighted mean" 5.5 (Stats.Time_weighted.average tw ~now:4.0)
 
 let tw_reset () =
   let tw = Stats.Time_weighted.create ~start:0.0 ~value:4.0 in
-  Stats.Time_weighted.update tw ~now:2.0 ~value:8.0;
+  Stats.Time_weighted.update tw ~now:2.0 ~value:8;
   Stats.Time_weighted.reset tw ~now:3.0;
   (* window restarts at t=3 holding 8 *)
   check_float "after reset" 8.0 (Stats.Time_weighted.average tw ~now:5.0)
 
 let tw_monotonic_time () =
   let tw = Stats.Time_weighted.create ~start:0.0 ~value:1.0 in
-  Stats.Time_weighted.update tw ~now:1.0 ~value:2.0;
+  Stats.Time_weighted.update tw ~now:1.0 ~value:2;
   Alcotest.check_raises "backwards time"
     (Invalid_argument "Stats.Time_weighted: time went backwards") (fun () ->
-      Stats.Time_weighted.update tw ~now:0.5 ~value:3.0)
+      Stats.Time_weighted.update tw ~now:0.5 ~value:3)
 
 let histogram_basic () =
   let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
@@ -907,6 +938,7 @@ let suite =
     ("sim every + stop", `Quick, sim_every_and_stop);
     ("sim every start", `Quick, sim_every_start);
     ("sim rejects past/negative", `Quick, sim_rejects_past);
+    ("sim reserved seq keeps its place", `Quick, sim_reserved_seq);
     ("sim counts events", `Quick, sim_counts_events);
     ("rng determinism", `Quick, rng_determinism);
     ("rng split", `Quick, rng_split_independence);

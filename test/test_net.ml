@@ -586,6 +586,67 @@ let link_eager_matches_batched () =
   check_int "no leaked packets (eager)" 0 live_e;
   check_int "no leaked packets (batched)" 0 live_b
 
+(* The delivery pipe against [Delivery_model]: random arrivals (bursts,
+   ties and idle gaps) on a link whose jitter is three serialisation
+   times, so deliveries overtake each other all the time. Every delivery
+   must happen at exactly the model's instant ([Float.equal], not a
+   tolerance) and in exactly its order, under both services and both
+   schedulers; the link's audit (conservation plus the pipe's own
+   invariants: sorted, head armed, one entry per packet on the wire)
+   runs after every arrival. *)
+let pipe_matches_model =
+  QCheck.Test.make ~name:"delivery pipe = reference model" ~count:100
+    QCheck.(pair (int_bound 10_000) (list_of_size Gen.(1 -- 60) (int_bound 4)))
+    (fun (seed, gaps) ->
+      let bps = 1e7 and delay = 0.002 and jitter = 0.0025 in
+      let size = Packet.mss + Packet.header_size in
+      let arrivals =
+        let t = ref 0.0 in
+        List.mapi
+          (fun seq gap ->
+            t := !t +. (0.0003 *. float_of_int gap);
+            (seq, !t))
+          gaps
+      in
+      let run service scheduler =
+        let sim = Sim.create ~seed ~scheduler () in
+        let a = Packet.create_arena () in
+        let link =
+          Link.create ~service ~jitter:(ts jitter) sim ~arena:a ~name:"j"
+            ~bandwidth:(Units.Rate.bps bps) ~delay:(ts delay)
+            ~disc:(Droptail.create ~limit_pkts:1000)
+        in
+        let log = ref [] in
+        Link.set_deliver link (fun p ->
+            log := (Packet.seq a p, Sim.now sim) :: !log;
+            Packet.free a p);
+        List.iter
+          (fun (seq, time) ->
+            Thunk.at sim (ts time) (fun () ->
+                Link.send link (mk_data ~seq a);
+                match Link.conservation_error link with
+                | None -> ()
+                | Some e -> failwith e))
+          arrivals;
+        Sim.run sim;
+        List.rev !log
+      in
+      List.for_all
+        (fun service ->
+          let want =
+            Delivery_model.deliveries ~service ~seed ~bps ~delay ~jitter ~size
+              arrivals
+          in
+          List.for_all
+            (fun scheduler ->
+              let got = run service scheduler in
+              List.length got = List.length want
+              && List.for_all2
+                   (fun (s, t) (s', t') -> s = s' && Float.equal t t')
+                   got want)
+            [ `Wheel; `Heap ])
+        [ Link.Batched; Link.Eager ])
+
 let rem_default_params_sane () =
   let p = Rem.default_params ~capacity_pps:1000.0 in
   check_bool "phi > 1" true (p.Rem.phi > 1.0);
@@ -772,4 +833,5 @@ let suite =
     ("rem default params", `Quick, rem_default_params_sane);
     ("tracer records lifecycle", `Quick, tracer_records_lifecycle);
     ("tracer flags", `Quick, tracer_marks_flags);
+    QCheck_alcotest.to_alcotest pipe_matches_model;
   ]
