@@ -345,7 +345,10 @@ let kernel_flow_ack =
 let kernel_red_enqueue =
   let rng = Sim_engine.Rng.create 3 in
   let params = Netsim.Red.auto_params ~capacity_pps:1000.0 ~limit_pkts:100 () in
-  let q = Netsim.Red.create ~rng ~params ~capacity_pps:1000.0 ~limit_pkts:100 in
+  let q =
+    Netsim.Red.disc
+      (Netsim.Red.create ~rng ~params ~capacity_pps:1000.0 ~limit_pkts:100)
+  in
   let a = Netsim.Packet.create_arena () in
   let i = ref 0 in
   fun () ->
@@ -480,7 +483,10 @@ let alloc_link_hop () =
 let alloc_red_enqueue () =
   let rng = Sim_engine.Rng.create 3 in
   let params = Netsim.Red.auto_params ~capacity_pps:1000.0 ~limit_pkts:100 () in
-  let q = Netsim.Red.create ~rng ~params ~capacity_pps:1000.0 ~limit_pkts:100 in
+  let q =
+    Netsim.Red.disc
+      (Netsim.Red.create ~rng ~params ~capacity_pps:1000.0 ~limit_pkts:100)
+  in
   let a = Netsim.Packet.create_arena () in
   let n = 10_000 in
   let w0 = Gc.minor_words () in

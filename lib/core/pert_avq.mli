@@ -44,9 +44,9 @@ val virtual_backlog : t -> float
 
 (* Kept despite no external caller: the four PERT-family engines
    (Pert, Pert_pi, Pert_rem, Pert_avq) expose one uniform
-   introspection surface, reached through each scheme's [engine_of]
-   (see {!Cc.engine}); deleting per-engine members would make the
-   interfaces drift apart. *)
+   inspection surface for code that drives an engine directly;
+   deleting per-engine members would make the interfaces drift
+   apart. *)
 val srtt : t -> Srtt.t [@@lint.allow "S3"]
 val decrease_factor : t -> float
 val early_responses : t -> int

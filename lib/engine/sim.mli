@@ -131,10 +131,7 @@ val events_executed : t -> int
     [Marshal.Closures] payload can't capture a module global that a
     restore would silently duplicate. (3) Code crosses only as pointers
     into the identical binary, enforced by the build-digest header.
-    Extensible-variant values ([Queue_disc.internals], [Cc.engine])
-    additionally need rehydration after [load] — extension constructors
-    match by physical slot identity, which Marshal cannot preserve — see
-    [Schemes.rehydrate] at the experiments layer. *)
+    The world a [load] returns is ready to run; it needs no repair. *)
 module Snapshot : sig
   exception Incompatible of string
   (** Raised by {!load} when the file is not a snapshot, was written by

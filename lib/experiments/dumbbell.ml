@@ -301,10 +301,9 @@ let arm_budget sim ?max_events ?max_wall () =
 (* --- live checkpoints ---------------------------------------------------- *)
 
 (* Everything [Sim.Snapshot.save] must carry besides the simulator: the
-   built topology (whose links/flows/audit the restored process walks for
-   rehydration and measurement) and which run phase we are in, so a
-   restore mid-warmup still resets statistics at the warmup boundary
-   exactly once. *)
+   built topology (whose links/flows/audit the restored process
+   measures) and which run phase we are in, so a restore mid-warmup
+   still resets statistics at the warmup boundary exactly once. *)
 type world = { w_built : built; mutable w_warmup_done : bool }
 
 (* Self-rescheduling checkpoint tick. It re-arms BEFORE writing, so the
@@ -364,23 +363,6 @@ let install_ckpt_tick (ckpt : Runner.checkpoint) world =
   in
   Sim.after_ev sim (Units.Time.s period) (ckpt_tick_ev ck)
 
-(* Post-restore repair of every extension-constructor value in the world
-   (they do not survive Marshal — see {!Schemes.rehydrate_disc}): the
-   queue discipline of every link, and every long-lived flow's
-   congestion-control engine. Web-session flows are reachable only
-   through node agents and their think timers, and are not walked:
-   their controllers keep working (the closures captured the engine
-   directly), only their [engine_of] introspection would fail, and
-   nothing introspects a web flow. *)
-let rehydrate_world world =
-  let built = world.w_built in
-  List.iter
-    (fun link -> Schemes.rehydrate_disc (Link.disc link))
-    (T.links built.topo);
-  List.iter
-    (fun flow -> Schemes.rehydrate_cc (Flow.cc flow))
-    (built.forward_flows @ built.reverse)
-
 (* The two run phases, from whatever point [world] has reached: finish
    the warmup (resetting statistics at its boundary exactly once), then
    the measured interval. A budget cut ({!Sim.Budget_exceeded}) raises
@@ -411,9 +393,9 @@ let run_world ?ckpt ?max_events ?max_wall config =
     | Some { Runner.snap_path; _ } when Sys.file_exists snap_path -> (
         match Sim.Snapshot.load ~path:snap_path with
         | _sim, (world : world) ->
-            (* The snapshot carries the armed budget and the pending
-               checkpoint tick; re-arming either would double-charge. *)
-            rehydrate_world world;
+            (* The loaded world is ready to run as it stands: it carries
+               the armed budget and the pending checkpoint tick, and
+               re-arming either would double-charge. *)
             world
         | exception Sim.Snapshot.Incompatible _ ->
             (* Stale binary or torn file: recompute from scratch (the

@@ -117,27 +117,31 @@ let bottleneck_disc t ctx =
   | Pert_avq ->
       Netsim.Droptail.create ~limit_pkts:ctx.limit_pkts
   | Sack_rem_ecn ->
-      Netsim.Rem.create
-        ~rng:(Rng.split (Sim.rng ctx.sim))
-        ~params:(Netsim.Rem.default_params ~capacity_pps:ctx.capacity_pps)
-        ~capacity_pps:ctx.capacity_pps ~limit_pkts:ctx.limit_pkts
+      Netsim.Rem.disc
+        (Netsim.Rem.create
+           ~rng:(Rng.split (Sim.rng ctx.sim))
+           ~params:(Netsim.Rem.default_params ~capacity_pps:ctx.capacity_pps)
+           ~capacity_pps:ctx.capacity_pps ~limit_pkts:ctx.limit_pkts)
   | Sack_avq_ecn ->
-      Netsim.Avq.create
-        ~params:(Netsim.Avq.default_params ())
-        ~capacity_pps:ctx.capacity_pps ~limit_pkts:ctx.limit_pkts
+      Netsim.Avq.disc
+        (Netsim.Avq.create
+           ~params:(Netsim.Avq.default_params ())
+           ~capacity_pps:ctx.capacity_pps ~limit_pkts:ctx.limit_pkts)
   | Pert_ecn | Sack_red_ecn ->
       let params =
         Netsim.Red.auto_params ~capacity_pps:ctx.capacity_pps
           ~limit_pkts:ctx.limit_pkts ()
       in
-      Netsim.Red.create
-        ~rng:(Rng.split (Sim.rng ctx.sim))
-        ~params ~capacity_pps:ctx.capacity_pps ~limit_pkts:ctx.limit_pkts
+      Netsim.Red.disc
+        (Netsim.Red.create
+           ~rng:(Rng.split (Sim.rng ctx.sim))
+           ~params ~capacity_pps:ctx.capacity_pps ~limit_pkts:ctx.limit_pkts)
   | Sack_pi_ecn { target_delay } ->
-      Netsim.Pi_queue.create
-        ~rng:(Rng.split (Sim.rng ctx.sim))
-        ~params:(router_pi_params ctx ~target_delay)
-        ~limit_pkts:ctx.limit_pkts
+      Netsim.Pi_queue.disc
+        (Netsim.Pi_queue.create
+           ~rng:(Rng.split (Sim.rng ctx.sim))
+           ~params:(router_pi_params ctx ~target_delay)
+           ~limit_pkts:ctx.limit_pkts)
 
 let cc_factory t ctx () =
   match t with
@@ -169,27 +173,5 @@ let cc_factory t ctx () =
         ~gains:d ~target_delay
         ~sample_interval:(Units.Time.s sample_interval) ()
 
-(* --- restore-time rehydration ------------------------------------------ *)
-
-(* Extension-constructor values ({!Netsim.Queue_disc.internals},
-   {!Tcpstack.Cc.engine}) do not survive {!Sim.Snapshot}'s Marshal round
-   trip; dispatch on the stable [name] string (never on the constructor,
-   which is exactly what is broken here) and let each concrete module
-   rebuild its own value around the preserved payload. *)
-let rehydrate_disc disc =
-  match disc.Netsim.Queue_disc.name with
-  | "droptail" -> Netsim.Droptail.rehydrate disc
-  | "red" -> Netsim.Red.rehydrate disc
-  | "pi" -> Netsim.Pi_queue.rehydrate disc
-  | "rem" -> Netsim.Rem.rehydrate disc
-  | "avq" -> Netsim.Avq.rehydrate disc
-  | other -> invalid_arg ("Schemes.rehydrate_disc: unknown discipline " ^ other)
-
-let rehydrate_cc cc =
-  match cc.Tcpstack.Cc.name with
-  | "newreno" | "vegas" -> cc.Tcpstack.Cc.engine <- Tcpstack.Cc.No_engine
-  | "pert" -> Tcpstack.Pert_cc.rehydrate cc
-  | "pert-rem" -> Tcpstack.Pert_rem_cc.rehydrate cc
-  | "pert-avq" -> Tcpstack.Pert_avq_cc.rehydrate cc
-  | "pert-pi" -> Tcpstack.Pert_pi_cc.rehydrate cc
-  | other -> invalid_arg ("Schemes.rehydrate_cc: unknown controller " ^ other)
+let rehydrate_disc (_ : Netsim.Queue_disc.t) = ()
+let rehydrate_cc (_ : Tcpstack.Cc.t) = ()

@@ -16,12 +16,4 @@ let create ~limit_pkts =
     pkt_length = (fun () -> Queue_disc.Fifo.pkts fifo);
     byte_length = (fun () -> Queue_disc.Fifo.bytes fifo);
     capacity_pkts = limit_pkts;
-    internals = Queue_disc.Opaque;
   }
-
-(* Restore-time repair: droptail's internals are the constant [Opaque],
-   whose constructor slot is copied (not shared) by Marshal like any
-   other; reinstall the live binary's [Opaque] for hygiene. *)
-let rehydrate disc =
-  if String.equal disc.Queue_disc.name "droptail" then
-    disc.Queue_disc.internals <- Queue_disc.Opaque

@@ -4,7 +4,3 @@
 val create : limit_pkts:int -> Queue_disc.t
 (** [create ~limit_pkts] rejects arrivals once [limit_pkts] packets are
     buffered. *)
-
-val rehydrate : Queue_disc.t -> unit
-(** Post-{!Sim.Snapshot} repair of [internals] (extension constructors
-    do not survive [Marshal]); no-op on other disciplines. *)

@@ -16,13 +16,13 @@ type params = {
   ecn : bool;
 }
 
-val create :
-  rng:Sim_engine.Rng.t -> params:params -> limit_pkts:int -> Queue_disc.t
+type t
+(** A PI discipline together with its live controller state. *)
 
-val probability : Queue_disc.t -> Units.Prob.t
-(** Current controller output of a PI discipline created by {!create};
-    raises [Invalid_argument] for other disciplines. *)
+val create : rng:Sim_engine.Rng.t -> params:params -> limit_pkts:int -> t
 
-val rehydrate : Queue_disc.t -> unit
-(** Post-{!Sim.Snapshot} repair of [internals] (extension constructors
-    do not survive [Marshal]); no-op on other disciplines. *)
+val disc : t -> Queue_disc.t
+(** The discipline a link serves. *)
+
+val probability : t -> Units.Prob.t
+(** Current controller output. *)

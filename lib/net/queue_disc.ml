@@ -1,6 +1,4 @@
 type verdict = Accept | Accept_marked | Reject
-type internals = ..
-type internals += Opaque
 
 exception Empty
 
@@ -11,18 +9,7 @@ type t = {
   pkt_length : unit -> int;
   byte_length : unit -> int;
   capacity_pkts : int;
-  mutable internals : internals;
 }
-
-(* Extension constructors do not survive Marshal: matching compares the
-   constructor slot physically, and unmarshalling copies it. [rehydrate]
-   rebuilds the [internals] value around the unmarshalled payload using
-   the live binary's constructor ([mk]), preserving the payload's
-   identity — the discipline's closures captured the same state record,
-   and that sharing must survive. Field 1 of the extension block is the
-   constructor's single argument (field 0 is the slot). *)
-let rehydrate d ~mk =
-  d.internals <- mk (Obj.obj (Obj.field (Obj.repr d.internals) 1))
 
 (* Power-of-two ring buffer over packet handles. Handles are immediate
    ints ([Packet.t = private int]), so the backing arrays are unboxed

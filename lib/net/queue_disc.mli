@@ -1,5 +1,5 @@
-(** Queue-discipline interface implemented by {!Droptail}, {!Red} and
-    {!Pi_queue}.
+(** Queue-discipline interface implemented by {!Droptail}, {!Red},
+    {!Pi_queue}, {!Rem} and {!Avq}.
 
     A discipline owns the buffered packet handles. [enqueue] decides the
     fate of an arriving packet; on [Accept] and [Accept_marked] the
@@ -14,16 +14,6 @@
     ring. *)
 
 type verdict = Accept | Accept_marked | Reject
-
-type internals = ..
-(** Discipline-private state, surfaced so a concrete module can recover
-    its own internals from the closure record for introspection
-    ([Red.avg_queue], [Rem.price], ...) without any global registry —
-    module-toplevel registries are a replay/determinism hazard (lint rule
-    D3). Each implementation extends this type with its own constructor
-    and matches on it in its accessors. *)
-
-type internals += Opaque  (** for disciplines with nothing to expose *)
 
 exception Empty
 (** Raised by [dequeue] (and {!Fifo.pop_exn}) on an empty queue. The
@@ -41,20 +31,7 @@ type t = {
   pkt_length : unit -> int;  (** packets currently buffered *)
   byte_length : unit -> int;  (** bytes currently buffered *)
   capacity_pkts : int;  (** buffer limit in packets *)
-  mutable internals : internals;
-      (** see {!type-internals}; mutable only for {!rehydrate} *)
 }
-
-val rehydrate : t -> mk:('st -> internals) -> unit
-(** Restore-time repair ({!Sim.Snapshot}): extension constructors do not
-    survive [Marshal] (matching compares the constructor slot
-    physically, and unmarshalling copies it), so after a snapshot load
-    each discipline module rebuilds [internals] with its own live
-    constructor around the unmarshalled payload. The payload object is
-    passed through untouched, keeping it physically shared with the
-    state the discipline's closures captured. Call only through the
-    concrete module's [rehydrate] (it knows [mk]'s payload type); never
-    on a discipline whose [internals] is a constant constructor. *)
 
 (** FIFO storage shared by discipline implementations: a power-of-two
     ring of packet handles (unboxed int arrays — handles are immediate)

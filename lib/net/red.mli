@@ -24,19 +24,20 @@ val auto_params :
     [min_th = max 5 (capacity *. target_delay /. 2.)] clamped to the buffer,
     [max_th = 3 min_th], [max_p = 0.1]. [target_delay] defaults to 5 ms. *)
 
+type t
+(** A RED discipline together with its live controller state. *)
+
 val create :
   rng:Sim_engine.Rng.t -> params:params -> capacity_pps:float ->
-  limit_pkts:int -> Queue_disc.t
+  limit_pkts:int -> t
 (** [capacity_pps] (packets/second at MSS size) calibrates the idle-time
     decay of the average. *)
 
-val avg_queue : Queue_disc.t -> float
-(** Current averaged queue length of a RED discipline created by
-    {!create}; raises [Invalid_argument] for other disciplines. *)
+val disc : t -> Queue_disc.t
+(** The discipline a link serves. *)
 
-val current_max_p : Queue_disc.t -> Units.Prob.t
+val avg_queue : t -> float
+(** Current averaged queue length. *)
+
+val current_max_p : t -> Units.Prob.t
 (** Current [max_p] (changes under adaptive mode). *)
-
-val rehydrate : Queue_disc.t -> unit
-(** Post-{!Sim.Snapshot} repair of [internals] (extension constructors
-    do not survive [Marshal]); no-op on other disciplines. *)

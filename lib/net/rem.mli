@@ -24,16 +24,17 @@ val default_params : capacity_pps:float -> params
     [sample_interval = 10 ms]; independent of capacity except for the
     documentation of intent. *)
 
+type t
+(** A REM discipline together with its live price state. *)
+
 val create :
   rng:Sim_engine.Rng.t -> params:params -> capacity_pps:float ->
-  limit_pkts:int -> Queue_disc.t
+  limit_pkts:int -> t
 
-val price : Queue_disc.t -> float
-(** Current price of a REM discipline created by {!create}; raises
-    [Invalid_argument] otherwise. *)
+val disc : t -> Queue_disc.t
+(** The discipline a link serves. *)
 
-val mark_probability : Queue_disc.t -> Units.Prob.t
+val price : t -> float
+(** Current price. *)
 
-val rehydrate : Queue_disc.t -> unit
-(** Post-{!Sim.Snapshot} repair of [internals] (extension constructors
-    do not survive [Marshal]); no-op on other disciplines. *)
+val mark_probability : t -> Units.Prob.t

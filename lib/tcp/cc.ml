@@ -8,8 +8,6 @@ module Window = struct
 end
 
 type early_action = No_response | Reduce of float
-type engine = ..
-type engine += No_engine
 
 type t = {
   name : string;
@@ -18,15 +16,7 @@ type t = {
   early : Window.t -> rtt:Units.Time.t option -> now:float -> early_action;
   on_loss : now:float -> unit;
   ecn_beta : float;
-  mutable engine : engine;
 }
-
-(* Same restore-time repair as {!Queue_disc.rehydrate}: rebuild the
-   extension-constructor value around the unmarshalled payload (field 1
-   of the extension block; field 0 is the constructor slot) so [engine_of]
-   matches again, preserving the payload's sharing with the closures. *)
-let rehydrate cc ~mk =
-  cc.engine <- mk (Obj.obj (Obj.field (Obj.repr cc.engine) 1))
 
 let reno_increase w ~newly_acked ~rtt:_ ~now:_ =
   let acked = float_of_int newly_acked in
@@ -43,5 +33,4 @@ let newreno () =
     early = (fun _ ~rtt:_ ~now:_ -> No_response);
     on_loss = (fun ~now:_ -> ());
     ecn_beta = 0.5;
-    engine = No_engine;
   }

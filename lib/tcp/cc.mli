@@ -23,16 +23,6 @@ type early_action =
       (** [Reduce f]: multiplicative early decrease
           [cwnd <- max 1 ((1 - f) * cwnd)]; also leaves slow start. *)
 
-type engine = ..
-(** The decision engine behind a controller, surfaced so a concrete
-    module ({!Pert_cc}, {!Pert_pi_cc}, ...) can recover its own engine
-    from the closure record for introspection without any global registry
-    — module-toplevel registries are a replay/determinism hazard (lint
-    rule D3). Each implementation extends this type with its own
-    constructor and matches on it in its [engine_of]. *)
-
-type engine += No_engine  (** for controllers with nothing to expose *)
-
 type t = {
   name : string;
   on_ack :
@@ -53,18 +43,7 @@ type t = {
   ecn_beta : float;
       (** Multiplicative decrease factor applied on an ECN echo
           (standard: 0.5). *)
-  mutable engine : engine;
-      (** see {!type-engine}; mutable only for {!rehydrate} *)
 }
-
-val rehydrate : t -> mk:('st -> engine) -> unit
-(** Restore-time repair ({!Sim.Snapshot}): extension constructors do not
-    survive [Marshal], so after a snapshot load each controller module
-    rebuilds [engine] with its own live constructor around the
-    unmarshalled payload (identity preserved — the controller's closures
-    captured the same engine). Call only through the concrete module's
-    [rehydrate]; never on a controller whose [engine] is a constant
-    constructor. *)
 
 val reno_increase :
   Window.t -> newly_acked:int -> rtt:Units.Time.t option -> now:float -> unit

@@ -1,10 +1,6 @@
 module Pert_red = Pert_core.Pert_red
 module Rng = Sim_engine.Rng
 
-(* Link the opaque Cc.t back to its decision engine for introspection
-   (no global registry: that would be module-toplevel mutable state). *)
-type Cc.engine += Engine of Pert_red.t
-
 let create ~rng ?curve ?alpha ?decrease_factor ?limit_per_rtt () =
   let engine = Pert_red.create ?curve ?alpha ?decrease_factor ?limit_per_rtt () in
   let early _w ~rtt ~now =
@@ -24,16 +20,4 @@ let create ~rng ?curve ?alpha ?decrease_factor ?limit_per_rtt () =
     early;
     on_loss = (fun ~now -> Pert_red.note_loss engine ~now);
     ecn_beta = 0.5;
-    engine = Engine engine;
   }
-
-let engine_of cc =
-  match cc.Cc.engine with
-  | Engine engine -> engine
-  | _ -> invalid_arg "Pert_cc.engine_of: not a PERT controller"
-
-(* Restore-time repair (see {!Cc.rehydrate}); no-op for other
-   controllers, so a dispatcher may call every scheme's [rehydrate]. *)
-let rehydrate cc =
-  if String.equal cc.Cc.name "pert" then
-    Cc.rehydrate cc ~mk:(fun engine -> Engine engine)

@@ -1,10 +1,6 @@
 module Pert_pi = Pert_core.Pert_pi
 module Rng = Sim_engine.Rng
 
-(* Link the opaque Cc.t back to its decision engine for introspection
-   (no global registry: that would be module-toplevel mutable state). *)
-type Cc.engine += Engine of Pert_pi.t
-
 let create ~rng ~gains ~target_delay ~sample_interval ?alpha ?decrease_factor
     () =
   let engine =
@@ -26,16 +22,4 @@ let create ~rng ~gains ~target_delay ~sample_interval ?alpha ?decrease_factor
     early;
     on_loss = (fun ~now -> Pert_pi.note_loss engine ~now);
     ecn_beta = 0.5;
-    engine = Engine engine;
   }
-
-let engine_of cc =
-  match cc.Cc.engine with
-  | Engine engine -> engine
-  | _ -> invalid_arg "Pert_pi_cc.engine_of: not a PERT/PI controller"
-
-(* Restore-time repair (see {!Cc.rehydrate}); no-op for other
-   controllers, so a dispatcher may call every scheme's [rehydrate]. *)
-let rehydrate cc =
-  if String.equal cc.Cc.name "pert-pi" then
-    Cc.rehydrate cc ~mk:(fun engine -> Engine engine)

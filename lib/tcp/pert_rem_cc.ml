@@ -1,10 +1,6 @@
 module Pert_rem = Pert_core.Pert_rem
 module Rng = Sim_engine.Rng
 
-(* Link the opaque Cc.t back to its decision engine for introspection
-   (no global registry: that would be module-toplevel mutable state). *)
-type Cc.engine += Engine of Pert_rem.t
-
 let create ~rng ?(params = Pert_rem.default_params) ?srtt_alpha
     ?decrease_factor () =
   let engine = Pert_rem.create ?srtt_alpha ?decrease_factor ~params () in
@@ -23,16 +19,4 @@ let create ~rng ?(params = Pert_rem.default_params) ?srtt_alpha
     early;
     on_loss = (fun ~now -> Pert_rem.note_loss engine ~now);
     ecn_beta = 0.5;
-    engine = Engine engine;
   }
-
-let engine_of cc =
-  match cc.Cc.engine with
-  | Engine engine -> engine
-  | _ -> invalid_arg "Pert_rem_cc.engine_of: not a PERT/REM controller"
-
-(* Restore-time repair (see {!Cc.rehydrate}); no-op for other
-   controllers, so a dispatcher may call every scheme's [rehydrate]. *)
-let rehydrate cc =
-  if String.equal cc.Cc.name "pert-rem" then
-    Cc.rehydrate cc ~mk:(fun engine -> Engine engine)

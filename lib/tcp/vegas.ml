@@ -67,5 +67,4 @@ let create ?(alpha = 1.0) ?(beta = 3.0) ?(gamma = 1.0) () =
     early = (fun _ ~rtt:_ ~now:_ -> Cc.No_response);
     on_loss = (fun ~now:_ -> ());
     ecn_beta = 0.5;
-    engine = Cc.No_engine;
   }

@@ -5,17 +5,18 @@
    restarting from zero (the crash-recovery accounting regression); the
    wall budget's 256-event sampling does not trip spuriously after the
    restore-time rebase; foreign and corrupt snapshot files are
-   refused.
+   refused; the four router AQM handles read back and decide exactly
+   as the originals after a load, with no repair step.
 
    Scenario level, the cut-point invariance oracle: interrupt a real
    dumbbell run at a *random* event count (via the event budget, which
    raises before popping, so the simulation is consistent), snapshot it,
-   restore in-process, rehydrate, finish — the canonical rendering of
-   the result must be byte-identical to the uninterrupted run's, under
-   both schedulers and for a faults-style lossy PERT scenario, a
-   fig6-style PERT+ECN/RED one (which exercises both extension-
-   constructor rehydration paths) and a fig9-style one with live web
-   sessions (whose think timers are pending at almost every cut). *)
+   restore in-process with [Sim.Snapshot.load] alone, finish — the
+   canonical rendering of the result must be byte-identical to the
+   uninterrupted run's, under both schedulers, for a faults-style lossy
+   PERT scenario, a fig9-style one with live web sessions (whose think
+   timers are pending at almost every cut), and a fig6-sized run of
+   every router AQM and end-host controller. *)
 
 module Sim = Sim_engine.Sim
 module Event = Sim_engine.Event
@@ -147,6 +148,127 @@ let rejects_foreign_and_corrupt () =
         (String.length msg > 0));
   cleanup path
 
+(* --- router AQM handles across a restore --------------------------------- *)
+
+type aqm_world = {
+  red : Netsim.Red.t;
+  pi : Netsim.Pi_queue.t;
+  rem : Netsim.Rem.t;
+  avq : Netsim.Avq.t;
+  arena : Netsim.Packet.arena;
+}
+
+let aqm_world sim =
+  let rng () = Sim_engine.Rng.split (Sim.rng sim) in
+  let red_params =
+    {
+      (Netsim.Red.auto_params ~capacity_pps:1000.0 ~limit_pkts:100 ()) with
+      Netsim.Red.wq = 0.05;
+    }
+  in
+  {
+    red =
+      Netsim.Red.create ~rng:(rng ()) ~params:red_params ~capacity_pps:1000.0
+        ~limit_pkts:100;
+    pi =
+      Netsim.Pi_queue.create ~rng:(rng ())
+        ~params:
+          {
+            Netsim.Pi_queue.a = 0.01;
+            b = 0.005;
+            q_ref = 5.0;
+            sample_interval = Units.Time.s 0.01;
+            ecn = true;
+          }
+        ~limit_pkts:100;
+    rem =
+      Netsim.Rem.create ~rng:(rng ())
+        ~params:(Netsim.Rem.default_params ~capacity_pps:100.0)
+        ~capacity_pps:100.0 ~limit_pkts:100;
+    avq =
+      Netsim.Avq.create ~params:(Netsim.Avq.default_params ())
+        ~capacity_pps:100.0 ~limit_pkts:100;
+    arena = Netsim.Packet.create_arena ();
+  }
+
+(* Every accessor of the four handles, in a fixed order. *)
+let aqm_readings w =
+  [
+    Netsim.Red.avg_queue w.red;
+    Units.Prob.to_float (Netsim.Red.current_max_p w.red);
+    Units.Prob.to_float (Netsim.Pi_queue.probability w.pi);
+    Netsim.Rem.price w.rem;
+    Units.Prob.to_float (Netsim.Rem.mark_probability w.rem);
+    Netsim.Avq.virtual_capacity w.avq;
+  ]
+
+(* Offer arrivals [first..last], 1 ms apart, to every discipline and
+   serve one packet every other arrival, so a backlog builds; returns
+   the verdicts in order. *)
+let drive_aqms w ~first ~last =
+  let discs =
+    [
+      Netsim.Red.disc w.red;
+      Netsim.Pi_queue.disc w.pi;
+      Netsim.Rem.disc w.rem;
+      Netsim.Avq.disc w.avq;
+    ]
+  in
+  let verdicts = ref [] in
+  for i = first to last do
+    let now = 0.001 *. float_of_int i in
+    List.iter
+      (fun (d : Netsim.Queue_disc.t) ->
+        let pkt =
+          Netsim.Packet.data w.arena ~flow:0 ~src:0 ~dst:1 ~seq:i ~ecn:true
+            ~now ()
+        in
+        let v =
+          d.enqueue ~now ~size:(Netsim.Packet.size w.arena pkt) ~ecn:true pkt
+        in
+        verdicts :=
+          (match v with
+          | Netsim.Queue_disc.Accept -> "accept"
+          | Accept_marked -> "mark"
+          | Reject ->
+              Netsim.Packet.free w.arena pkt;
+              "reject")
+          :: !verdicts;
+        if i mod 2 = 0 then
+          match d.dequeue ~now with
+          | p -> Netsim.Packet.free w.arena p
+          | exception Netsim.Queue_disc.Empty -> ())
+      discs
+  done;
+  List.rev !verdicts
+
+let aqm_handles_survive_restore () =
+  let sim = Sim.create ~seed:5 () in
+  let w = aqm_world sim in
+  ignore (drive_aqms w ~first:0 ~last:400);
+  (match aqm_readings w with
+  | [ red_avg; _; pi_p; rem_price; _; avq_c ] ->
+      Alcotest.(check bool)
+        "precondition: every controller has left its initial state" true
+        (red_avg > 0.0 && pi_p > 0.0 && rem_price > 0.0 && avq_c < 98.0)
+  | _ -> assert false);
+  let path = temp_snap () in
+  ignore (Sim.Snapshot.save sim ~world:w ~path);
+  let _sim2, (w2 : aqm_world) = Sim.Snapshot.load ~path in
+  cleanup path;
+  let exact =
+    Alcotest.testable (fun ppf -> Format.fprintf ppf "%.17g") Float.equal
+  in
+  Alcotest.(check (list exact))
+    "loaded accessors read the originals' values" (aqm_readings w)
+    (aqm_readings w2);
+  let straight = drive_aqms w ~first:401 ~last:800 in
+  Alcotest.(check (list string))
+    "loaded disciplines decide as the originals do" straight
+    (drive_aqms w2 ~first:401 ~last:800);
+  Alcotest.(check (list exact))
+    "and end in the same state" (aqm_readings w) (aqm_readings w2)
+
 (* --- cut-point invariance ------------------------------------------------- *)
 
 (* Phase tracker mirroring [Dumbbell.run]'s warmup/measure split, saved
@@ -164,18 +286,6 @@ let finish (w : phased) =
   end;
   Sim.run ~until:(Units.Time.s config.D.duration) sim;
   D.measure w.built
-
-(* Same rehydration walk as the production restore path
-   ([Dumbbell.run] via [Schemes.rehydrate_disc]/[rehydrate_cc]):
-   extension constructors do not survive Marshal, so every queue
-   discipline and congestion-control engine is re-tagged in place. *)
-let rehydrate (w : phased) =
-  List.iter
-    (fun l -> Schemes.rehydrate_disc (Netsim.Link.disc l))
-    (T.links w.built.D.topo);
-  List.iter
-    (fun f -> Schemes.rehydrate_cc (Tcpstack.Flow.cc f))
-    (w.built.D.forward_flows @ w.built.D.reverse)
 
 (* Canonical full-precision rendering: byte-equal iff results are equal. *)
 let render (r : D.result) =
@@ -232,9 +342,9 @@ let fig6_like scheduler =
     }
     ~n:4
 
-(* The PI pair at the fig6_like size: exercises Pert_pi_cc.rehydrate and
-   Pi_queue.rehydrate, both reachable from `sim --checkpoint`. *)
-let pi_like scheme scheduler = { (fig6_like scheduler) with D.scheme }
+(* Any scheme at the fig6_like size: the router AQMs and end-host
+   controllers that `sim --checkpoint` can save mid-run. *)
+let fig6_scheme scheme scheduler = { (fig6_like scheduler) with D.scheme }
 let pi_target = Units.Time.s 0.003
 
 let fig9_like scheduler =
@@ -284,7 +394,6 @@ let cut_resume config ~cut =
       ignore (Sim.Snapshot.save sim ~world:w ~path);
       let sim2, (w2 : phased) = Sim.Snapshot.load ~path in
       cleanup path;
-      rehydrate w2;
       Sim.clear_budget sim2;
       render (finish w2)
 
@@ -371,6 +480,9 @@ let suite =
     ( "foreign and corrupt snapshots are refused",
       `Quick,
       rejects_foreign_and_corrupt );
+    ( "router AQM handles read back and decide alike after a load",
+      `Quick,
+      aqm_handles_survive_restore );
     ("faults-outage straight run loses packets", `Quick, outage_run_loses);
     ( "overtaking delivery pipe survives a restore (batched)",
       `Quick,
@@ -387,7 +499,12 @@ let suite =
         cut_invariance "fig6-pert-ecn" fig6_like;
         cut_invariance "fig9-web" fig9_like;
         cut_invariance "fig6-pert-pi"
-          (pi_like (Schemes.Pert_pi { target_delay = pi_target }));
+          (fig6_scheme (Schemes.Pert_pi { target_delay = pi_target }));
         cut_invariance "fig6-sack-pi-ecn"
-          (pi_like (Schemes.Sack_pi_ecn { target_delay = pi_target }));
+          (fig6_scheme (Schemes.Sack_pi_ecn { target_delay = pi_target }));
+        cut_invariance "fig6-sack-rem-ecn" (fig6_scheme Schemes.Sack_rem_ecn);
+        cut_invariance "fig6-sack-avq-ecn" (fig6_scheme Schemes.Sack_avq_ecn);
+        cut_invariance "fig6-pert-rem" (fig6_scheme Schemes.Pert_rem);
+        cut_invariance "fig6-pert-avq" (fig6_scheme Schemes.Pert_avq);
+        cut_invariance "fig6-vegas" (fig6_scheme Schemes.Vegas);
       ]

@@ -24,12 +24,32 @@ let schemes_disc_kinds () =
   let ctx =
     { Schemes.sim; capacity_pps = 1000.0; limit_pkts = 100; rtt = 0.06; nflows = 8 }
   in
-  let dt = Schemes.bottleneck_disc Schemes.Pert ctx in
-  check_bool "pert gets droptail" true (dt.Netsim.Queue_disc.name = "droptail");
-  let red = Schemes.bottleneck_disc Schemes.Sack_red_ecn ctx in
-  check_bool "red disc introspectable" true (Netsim.Red.avg_queue red >= 0.0);
-  let pi = Schemes.bottleneck_disc (Schemes.Sack_pi_ecn { target_delay = Units.Time.s 0.003 }) ctx in
-  check_bool "pi disc introspectable" true (Units.Prob.to_float (Netsim.Pi_queue.probability pi) >= 0.0)
+  let target_delay = Units.Time.s 0.003 in
+  let tuned =
+    Schemes.Pert_tuned
+      { curve = Pert_core.Response_curve.default; alpha = 0.99;
+        decrease_factor = 0.35; limit_per_rtt = true }
+  in
+  List.iter
+    (fun (scheme, expected) ->
+      Alcotest.(check string)
+        (Schemes.name scheme ^ " bottleneck")
+        expected
+        (Schemes.bottleneck_disc scheme ctx).Netsim.Queue_disc.name)
+    [
+      (Schemes.Pert, "droptail");
+      (tuned, "droptail");
+      (Schemes.Pert_ecn, "red");
+      (Schemes.Sack_droptail, "droptail");
+      (Schemes.Sack_red_ecn, "red");
+      (Schemes.Vegas, "droptail");
+      (Schemes.Pert_pi { target_delay }, "droptail");
+      (Schemes.Sack_pi_ecn { target_delay }, "pi");
+      (Schemes.Pert_rem, "droptail");
+      (Schemes.Pert_avq, "droptail");
+      (Schemes.Sack_rem_ecn, "rem");
+      (Schemes.Sack_avq_ecn, "avq");
+    ]
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in

@@ -139,17 +139,18 @@ let red_fixture ?(ecn = true) ?(limit = 100) () =
   Red.create ~rng:(Rng.create 3) ~params ~capacity_pps:1000.0 ~limit_pkts:limit
 
 let red_accepts_when_idle () =
-  let q = red_fixture () in
+  let h = red_fixture () in
+  let q = Red.disc h in
   let a = Packet.create_arena () in
   for i = 0 to 3 do
     match enq ~seq:i q a ~now:(0.001 *. float_of_int i) with
     | Queue_disc.Accept -> ()
     | _ -> Alcotest.fail "below min_th must accept"
   done;
-  check_bool "avg tracked" true (Red.avg_queue q > 0.0)
+  check_bool "avg tracked" true (Red.avg_queue h > 0.0)
 
 let red_marks_ecn_between_thresholds () =
-  let q = red_fixture () in
+  let q = Red.disc (red_fixture ()) in
   let a = Packet.create_arena () in
   (* Build the queue (and average) well past min_th. *)
   let marks = ref 0 and drops = ref 0 in
@@ -165,7 +166,7 @@ let red_marks_ecn_between_thresholds () =
   check_bool "hard drops once avg > 2 max_th" true (!drops > 0)
 
 let red_drops_non_ecn () =
-  let q = red_fixture ~ecn:false () in
+  let q = Red.disc (red_fixture ~ecn:false ()) in
   let a = Packet.create_arena () in
   let drops = ref 0 and marks = ref 0 in
   for i = 0 to 99 do
@@ -178,12 +179,13 @@ let red_drops_non_ecn () =
   check_bool "drops instead" true (!drops > 0)
 
 let red_idle_decay () =
-  let q = red_fixture () in
+  let h = red_fixture () in
+  let q = Red.disc h in
   let a = Packet.create_arena () in
   for i = 0 to 9 do
     ignore (enq ~seq:i q a ~now:0.0)
   done;
-  let avg_busy = Red.avg_queue q in
+  let avg_busy = Red.avg_queue h in
   (* Drain fully, then let it idle for a long time: the next arrival sees
      a decayed average. *)
   let rec drain () =
@@ -194,7 +196,7 @@ let red_idle_decay () =
   drain ();
   ignore (enq ~seq:100 q a ~now:10.0);
   check_bool "average decayed during idle" true
-    (Red.avg_queue q < avg_busy /. 2.0)
+    (Red.avg_queue h < avg_busy /. 2.0)
 
 let red_auto_params () =
   (* 1000 pps * 5 ms / 2 = 2.5 is below the 5-packet floor. *)
@@ -212,23 +214,18 @@ let red_adaptive_moves_max_p () =
     { (Red.auto_params ~capacity_pps:1000.0 ~limit_pkts:100 ()) with
       Red.adaptive = true; wq = 0.5 }
   in
-  let q =
+  let h =
     Red.create ~rng:(Rng.create 4) ~params ~capacity_pps:1000.0 ~limit_pkts:100
   in
+  let q = Red.disc h in
   let a = Packet.create_arena () in
-  let initial = Units.Prob.to_float (Red.current_max_p q) in
+  let initial = Units.Prob.to_float (Red.current_max_p h) in
   (* Keep the average pinned high across several adaptation intervals. *)
   for i = 0 to 200 do
     ignore (enq ~ecn:true ~seq:i q a ~now:(0.1 *. float_of_int i))
   done;
   check_bool "max_p increased under persistent congestion" true
-    (Units.Prob.to_float (Red.current_max_p q) > initial)
-
-let red_wrong_disc () =
-  let q = Droptail.create ~limit_pkts:5 in
-  Alcotest.check_raises "not a RED queue"
-    (Invalid_argument "Red: not a RED discipline") (fun () ->
-      ignore (Red.avg_queue q))
+    (Units.Prob.to_float (Red.current_max_p h) > initial)
 
 let red_count_correction_bounds_gaps () =
   (* With the average pinned between the thresholds, the count-corrected
@@ -239,8 +236,9 @@ let red_count_correction_bounds_gaps () =
       gentle = false; adaptive = false; ecn = true }
   in
   let q =
-    Red.create ~rng:(Rng.create 11) ~params ~capacity_pps:1000.0
-      ~limit_pkts:100
+    Red.disc
+      (Red.create ~rng:(Rng.create 11) ~params ~capacity_pps:1000.0
+         ~limit_pkts:100)
   in
   let a = Packet.create_arena () in
   (* Pin the instantaneous queue at 7 (every accepted arrival is matched
@@ -282,14 +280,15 @@ let pi_fixture () =
   Pi_queue.create ~rng:(Rng.create 5) ~params ~limit_pkts:100
 
 let pi_probability_rises_and_falls () =
-  let q = pi_fixture () in
+  let h = pi_fixture () in
+  let q = Pi_queue.disc h in
   let a = Packet.create_arena () in
   (* Queue pinned at 20 > q_ref: probability should integrate upward. *)
   for i = 0 to 19 do
     ignore (enq ~ecn:true ~seq:i q a ~now:0.0)
   done;
   ignore (enq ~ecn:true ~seq:20 q a ~now:1.0);
-  let p_high = Units.Prob.to_float (Pi_queue.probability q) in
+  let p_high = Units.Prob.to_float (Pi_queue.probability h) in
   check_bool "p grew above 0" true (p_high > 0.0);
   (* Drain to zero and wait: probability should decay back down. *)
   let rec drain () =
@@ -300,10 +299,10 @@ let pi_probability_rises_and_falls () =
   drain ();
   ignore (enq ~ecn:true ~seq:21 q a ~now:5.0);
   check_bool "p decayed" true
-    (Units.Prob.to_float (Pi_queue.probability q) < p_high)
+    (Units.Prob.to_float (Pi_queue.probability h) < p_high)
 
 let pi_marks_ecn () =
-  let q = pi_fixture () in
+  let q = Pi_queue.disc (pi_fixture ()) in
   let a = Packet.create_arena () in
   (* Standing queue of ~20 (> q_ref = 5, well below the 100 limit): every
      accepted packet is matched by a departure. *)
@@ -333,19 +332,20 @@ let rem_fixture () =
   Rem.create ~rng:(Rng.create 7) ~params ~capacity_pps:100.0 ~limit_pkts:200
 
 let rem_price_tracks_backlog () =
-  let q = rem_fixture () in
+  let h = rem_fixture () in
+  let q = Rem.disc h in
   let a = Packet.create_arena () in
-  check_float "initial price" 0.0 (Rem.price q);
+  check_float "initial price" 0.0 (Rem.price h);
   (* hold a backlog of 30 > b_ref across many intervals *)
   for i = 0 to 29 do
     ignore (enq ~ecn:true ~seq:i q a ~now:0.0)
   done;
   ignore (enq ~ecn:true ~seq:100 q a ~now:2.0);
-  let high = Rem.price q in
+  let high = Rem.price h in
   check_bool "price grew" true (high > 0.0);
   check_bool "marking probability in (0,1)" true
-    (Units.Prob.to_float (Rem.mark_probability q) > 0.0
-    && Units.Prob.to_float (Rem.mark_probability q) < 1.0);
+    (Units.Prob.to_float (Rem.mark_probability h) > 0.0
+    && Units.Prob.to_float (Rem.mark_probability h) < 1.0);
   (* drain below the target: price must fall back toward zero *)
   let rec drain () =
     match q.Queue_disc.dequeue ~now:2.0 with
@@ -354,10 +354,10 @@ let rem_price_tracks_backlog () =
   in
   drain ();
   ignore (enq ~ecn:true ~seq:101 q a ~now:10.0);
-  check_bool "price decayed" true (Rem.price q < high)
+  check_bool "price decayed" true (Rem.price h < high)
 
 let rem_marks_under_price () =
-  let q = rem_fixture () in
+  let q = Rem.disc (rem_fixture ()) in
   let a = Packet.create_arena () in
   let marks = ref 0 and drops = ref 0 in
   for i = 0 to 999 do
@@ -386,7 +386,8 @@ let avq_marks_on_virtual_overflow () =
   let params =
     { (Avq.default_params ()) with Netsim.Avq.virtual_buffer = 5.0 }
   in
-  let q = Avq.create ~params ~capacity_pps:100.0 ~limit_pkts:1000 in
+  let h = Avq.create ~params ~capacity_pps:100.0 ~limit_pkts:1000 in
+  let q = Avq.disc h in
   let a = Packet.create_arena () in
   (* a burst far above the virtual capacity must overflow the virtual
      queue and mark *)
@@ -398,21 +399,22 @@ let avq_marks_on_virtual_overflow () =
   done;
   check_bool "burst marked" true (!marks > 30);
   (* virtual capacity stays within [0, C] *)
-  let c = Avq.virtual_capacity q in
+  let c = Avq.virtual_capacity h in
   check_bool "virtual capacity bounded" true (c >= 0.0 && c <= 100.0)
 
 let avq_adapts_capacity () =
-  let q =
+  let h =
     Avq.create ~params:(Avq.default_params ()) ~capacity_pps:100.0
       ~limit_pkts:1000
   in
+  let q = Avq.disc h in
   let a = Packet.create_arena () in
   (* light load (10 pkt/s against gamma*C = 98): c_tilde pins at C *)
   for i = 0 to 99 do
     ignore (enq ~ecn:true ~seq:i q a ~now:(0.1 *. float_of_int i));
     ignore (q.Queue_disc.dequeue ~now:(0.1 *. float_of_int i))
   done;
-  check_float "pins at C under light load" 100.0 (Avq.virtual_capacity q);
+  check_float "pins at C under light load" 100.0 (Avq.virtual_capacity h);
   (* overload (1000 pkt/s): c_tilde must fall *)
   for i = 0 to 999 do
     ignore
@@ -420,7 +422,7 @@ let avq_adapts_capacity () =
          ~now:(10.0 +. (0.001 *. float_of_int i)));
     ignore (q.Queue_disc.dequeue ~now:(10.0 +. (0.001 *. float_of_int i)))
   done;
-  check_bool "falls under overload" true (Avq.virtual_capacity q < 100.0)
+  check_bool "falls under overload" true (Avq.virtual_capacity h < 100.0)
 
 (* --- Link --------------------------------------------------------------------- *)
 
@@ -810,7 +812,6 @@ let suite =
     ("red idle decay", `Quick, red_idle_decay);
     ("red auto params", `Quick, red_auto_params);
     ("red adaptive max_p", `Quick, red_adaptive_moves_max_p);
-    ("red wrong discipline", `Quick, red_wrong_disc);
     ("red count correction", `Quick, red_count_correction_bounds_gaps);
     ("pi probability rises/falls", `Quick, pi_probability_rises_and_falls);
     ("rem price tracks backlog", `Quick, rem_price_tracks_backlog);
