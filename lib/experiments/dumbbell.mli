@@ -66,6 +66,13 @@ val uniform_flows : config -> n:int -> config
 val bdp_pkts : bandwidth:float -> rtt:float -> int
 (** Bandwidth-delay product in data packets. *)
 
+val arm_budget :
+  Sim_engine.Sim.t -> ?max_events:int -> ?max_wall:Units.Time.t -> unit -> unit
+(** [arm_budget sim ?max_events ?max_wall ()] arms
+    {!Sim_engine.Sim.set_budget} when either bound is given and leaves
+    [sim] unbudgeted when neither is: the one place every scenario runner
+    turns its optional budget into a [set_budget] call. *)
+
 type result = {
   avg_queue_pkts : Units.Pkts.t;
   avg_queue_norm : float;  (** normalised by the buffer size *)

@@ -82,6 +82,18 @@ let bin_ev =
       if not (Sim.stopped sim) then
         Sim.after_ev sim (Units.Time.s s.period) (self s))
 
+(* A fresh host on its own fast DropTail access link to [router]: the
+   endpoints of late cohorts and of the CBR stream. *)
+let attach_host (built : Dumbbell.built) config router =
+  let host = Netsim.Topology.add_node built.topo in
+  let disc () = Netsim.Droptail.create ~limit_pkts:10_000 in
+  ignore
+    (Netsim.Topology.add_duplex built.topo ~a:host ~b:router
+       ~bandwidth:(Units.Rate.bps (10.0 *. config.bandwidth))
+       ~delay:(Units.Time.s (config.rtt /. 6.0))
+       ~disc_ab:(disc ()) ~disc_ba:(disc ()));
+  host
+
 let run ?max_events ?max_wall config =
   (* Total timeline: cohorts join at 0, e, 2e, ... then leave in arrival
      order at n*e, (n+1)*e, ...; simulation ends when one cohort is left
@@ -104,11 +116,7 @@ let run ?max_events ?max_wall config =
   in
   let built = Dumbbell.build dumbbell_cfg in
   let sim = Netsim.Topology.sim built.Dumbbell.topo in
-  (match (max_events, max_wall) with
-  | None, None -> ()
-  | _ -> Sim.set_budget sim ?max_events ?max_wall ());
-  let r1, r2 = built.Dumbbell.routers in
-  ignore r2;
+  Dumbbell.arm_budget sim ?max_events ?max_wall ();
   let total_epochs = (2 * config.n_cohorts) - 1 in
   let horizon = float_of_int total_epochs *. config.epoch in
   let nbins = Units.Round.ceil (horizon /. config.bin) in
@@ -118,23 +126,11 @@ let run ?max_events ?max_wall config =
      fresh hosts at join time (hosts are created up front so routes exist). *)
   let flows = Array.make config.n_cohorts [||] in
   flows.(0) <- Array.of_list built.Dumbbell.forward_flows;
-  ignore r1;
+  let r1, r2 = built.Dumbbell.routers in
   let endpoints =
     Array.init (config.n_cohorts - 1) (fun _ ->
         Array.init config.cohort_size (fun _ ->
-            let attach router =
-              let host = Netsim.Topology.add_node built.Dumbbell.topo in
-              let disc () = Netsim.Droptail.create ~limit_pkts:10_000 in
-              ignore
-                (Netsim.Topology.add_duplex built.Dumbbell.topo ~a:host
-                   ~b:router
-                   ~bandwidth:(Units.Rate.bps (10.0 *. config.bandwidth))
-                   ~delay:(Units.Time.s (config.rtt /. 6.0))
-                   ~disc_ab:(disc ()) ~disc_ba:(disc ()));
-              host
-            in
-            let r1, r2 = built.Dumbbell.routers in
-            (attach r1, attach r2)))
+            (attach_host built config r1, attach_host built config r2)))
   in
   Netsim.Topology.compute_routes built.Dumbbell.topo;
   let s =
@@ -258,9 +254,7 @@ let run_cbr ?max_events ?max_wall config ~cbr_share =
   in
   let built = Dumbbell.build dumbbell_cfg in
   let sim = Netsim.Topology.sim built.Dumbbell.topo in
-  (match (max_events, max_wall) with
-  | None, None -> ()
-  | _ -> Sim.set_budget sim ?max_events ?max_wall ());
+  Dumbbell.arm_budget sim ?max_events ?max_wall ();
   let horizon = 3.0 *. config.epoch in
   let nbins = Units.Round.ceil (horizon /. config.bin) in
   let times = Array.init nbins (fun i -> float_of_int (i + 1) *. config.bin) in
@@ -268,17 +262,8 @@ let run_cbr ?max_events ?max_wall config ~cbr_share =
   let cbr_series = Array.make nbins 0.0 in
   let r1, r2 = built.Dumbbell.routers in
   (* CBR endpoints on their own access links. *)
-  let attach router =
-    let host = Netsim.Topology.add_node built.Dumbbell.topo in
-    let disc () = Netsim.Droptail.create ~limit_pkts:10_000 in
-    ignore
-      (Netsim.Topology.add_duplex built.Dumbbell.topo ~a:host ~b:router
-         ~bandwidth:(Units.Rate.bps (10.0 *. config.bandwidth))
-         ~delay:(Units.Time.s (config.rtt /. 6.0))
-         ~disc_ab:(disc ()) ~disc_ba:(disc ()));
-    host
-  in
-  let cbr_src = attach r1 and cbr_dst = attach r2 in
+  let cbr_src = attach_host built config r1
+  and cbr_dst = attach_host built config r2 in
   Netsim.Topology.compute_routes built.Dumbbell.topo;
   let cbr =
     Traffic.Cbr.start built.Dumbbell.topo ~src:cbr_src ~dst:cbr_dst

@@ -41,9 +41,7 @@ type link_report = {
 
 let run ?max_events ?max_wall config =
   let sim = Sim.create ~seed:config.seed ~scheduler:config.scheduler () in
-  (match (max_events, max_wall) with
-  | None, None -> ()
-  | _ -> Sim.set_budget sim ?max_events ?max_wall ());
+  Dumbbell.arm_budget sim ?max_events ?max_wall ();
   let topo = T.create sim in
   let routers = Array.init config.n_routers (fun _ -> T.add_node topo) in
   let capacity_pps =

@@ -1,18 +1,12 @@
-(* End-to-end tests for tools/pertlint/pertalloc: the interprocedural
-   allocation-effect analysis runs as a subprocess over the fixture
-   .cmt files in test/alloc_fixtures. Every rule is exercised as a
-   pair: a true positive asserting the documented diagnostic, location
-   and (for A1) the interprocedural call chain, and a structurally-
-   matched true negative that must stay silent.
+(* End-to-end tests for pertlint's allocation-effect rules: the
+   interprocedural analysis runs as a subprocess over the fixture .cmt
+   files in test/alloc_fixtures. Every rule is exercised as a pair: a
+   true positive asserting the documented diagnostic, location and (for
+   A1) the interprocedural call chain, and a structurally-matched true
+   negative that must stay silent.  Runs select this family with --rules
+   unless a test picks its own subset. *)
 
-   The test runs from _build/default/test/alloc, so the executables
-   and the fixture objects are reachable by relative path. *)
-
-let alloc_exe =
-  Filename.concat (Filename.concat ".." "..") "tools/pertlint/pertalloc.exe"
-
-let scan_exe =
-  Filename.concat (Filename.concat ".." "..") "tools/pertlint/pertscan.exe"
+open Pertlint_harness
 
 let fixture_dir = "../alloc_fixtures/.alloc_fixtures.objs/byte"
 
@@ -20,69 +14,15 @@ let fixture_cmt modname =
   Printf.sprintf "%s/alloc_fixtures__%s.cmt" fixture_dir modname
 
 (* The library wrapper module, compiled from dune's generated .ml-gen —
-   a .cmt pertalloc deliberately refuses to treat as a scannable unit. *)
+   a .cmt pertlint deliberately refuses to treat as a scannable unit. *)
 let wrapper_cmt = Printf.sprintf "%s/alloc_fixtures.cmt" fixture_dir
 
-(* Returns (exit_code, output_lines), stderr included — the exit-2
-   config errors print there. *)
-let run exe args =
-  let out = Filename.temp_file "pertalloc" ".out" in
-  let cmd =
-    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote exe)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out)
-  in
-  let code = Sys.command cmd in
-  let ic = open_in out in
-  let rec read acc =
-    match input_line ic with
-    | line -> read (line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  let lines = read [] in
-  close_in ic;
-  Sys.remove out;
-  (code, lines)
+let alloc args = "--rules" :: alloc_rules :: args
 
-let contains_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
-  m = 0 || go 0
+let fires ~rule ~modname =
+  fires ~rule ~args:(alloc [ fixture_cmt modname ])
 
-let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-
-let tagged rule lines =
-  List.filter (fun l -> contains_sub l (Printf.sprintf "[%s]" rule)) lines
-
-(* A true positive: pertalloc on the fixture alone exits 1 with exactly
-   one line carrying the rule tag, pinned to the documented location and
-   containing every documented message fragment. *)
-let fires ~rule ~modname ~loc ~fragments () =
-  let code, lines = run alloc_exe [ fixture_cmt modname ] in
-  check_int (rule ^ " exit code") 1 code;
-  match tagged rule lines with
-  | [ line ] ->
-      check_bool
-        (Printf.sprintf "%s flagged at %s" rule loc)
-        true
-        (contains_sub line (loc ^ ":"));
-      List.iter
-        (fun frag ->
-          check_bool
-            (Printf.sprintf "%s diagnostic mentions %S" rule frag)
-            true (contains_sub line frag))
-        fragments
-  | other ->
-      Alcotest.failf "%s: expected exactly one [%s] line, got %d" rule rule
-        (List.length other)
-
-(* A true negative: the structurally-matched clean fixture produces no
-   output at all and exits 0. *)
-let silent ~modname () =
-  let code, lines = run alloc_exe [ fixture_cmt modname ] in
-  check_int (modname ^ " exit code") 0 code;
-  check_int (modname ^ " is clean") 0 (List.length lines)
+let silent ~modname = silent ~modname ~args:(alloc [ fixture_cmt modname ])
 
 (* A1: the allocation is two calls away from the annotated root, and
    the diagnostic must spell out the interprocedural chain. *)
@@ -113,14 +53,14 @@ let a3_loop_closure_true_positive =
         "[@alloc.zero] 'A3_bad.root'";
       ]
 
-(* [@lint.allow "A1"] on the allocation site: pertalloc must stay
-   silent, and pertscan's stale-allow analysis (S4) — which re-runs the
-   allocation analysis in tracking mode — must see the allow as
-   credited, not stale. *)
+(* [@lint.allow "A1"] on the allocation site: the A rules must stay
+   silent, and the stale-allow rule (S4) — reported alone, while the
+   allocation analysis still runs and credits the allows it exercises —
+   must see the allow as credited, not stale. *)
 let allow_suppresses_and_is_credited () =
   silent ~modname:"Alloc_allow_ok" ();
   let code, lines =
-    run scan_exe [ "--rules"; "S4"; fixture_cmt "Alloc_allow_ok" ]
+    run [ "--rules"; "S4"; fixture_cmt "Alloc_allow_ok" ]
   in
   check_int "S4 exit code on credited alloc allow" 0 code;
   check_int "no stale-allow finding" 0 (List.length (tagged "S4" lines))
@@ -128,7 +68,7 @@ let allow_suppresses_and_is_credited () =
 (* The whole fixture tree: exactly one finding per rule, nothing from
    the true negatives, and the stats footer adds up. *)
 let whole_tree_finding_counts () =
-  let code, lines = run alloc_exe [ "--stats"; fixture_dir ] in
+  let code, lines = run (alloc [ "--stats"; fixture_dir ]) in
   check_int "whole-tree exit code" 1 code;
   check_int "one A1 finding" 1 (List.length (tagged "A1" lines));
   check_int "one A2 finding" 1 (List.length (tagged "A2" lines));
@@ -137,7 +77,7 @@ let whole_tree_finding_counts () =
     (List.exists (fun l -> contains_sub l "total: 3 violation(s)") lines)
 
 let json_format () =
-  let code, lines = run alloc_exe [ "--format=json"; fixture_cmt "A2_bad" ] in
+  let code, lines = run (alloc [ "--format=json"; fixture_cmt "A2_bad" ]) in
   check_int "json exit code" 1 code;
   let blob = String.concat "\n" lines in
   List.iter
@@ -150,30 +90,6 @@ let json_format () =
       "\"line\": 5";
       "\"severity\": \"error\"";
     ]
-
-(* Exit-code contract for misdirected scopes, shared with pertlint and
-   pertscan: an empty directory and a wrapper-only scope are
-   configuration errors — exit 2, never a clean 0. *)
-let fresh_empty_dir () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "pertalloc_empty_scope"
-  in
-  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-  dir
-
-let empty_scope_is_an_error () =
-  let code, lines = run alloc_exe [ fresh_empty_dir () ] in
-  check_int "exit code on empty scope" 2 code;
-  check_bool "explains the empty scope" true
-    (List.exists (fun l -> contains_sub l "no .cmt files") lines)
-
-let wrapper_only_scope_is_an_error () =
-  let code, lines = run alloc_exe [ wrapper_cmt ] in
-  check_int "exit code on wrapper-only scope" 2 code;
-  check_bool "explains the unscannable scope" true
-    (List.exists
-       (fun l -> contains_sub l "none was a scannable implementation")
-       lines)
 
 let () =
   Alcotest.run "pertalloc"
@@ -206,8 +122,15 @@ let () =
           ("whole fixture tree: exact finding counts", `Quick,
            whole_tree_finding_counts);
           ("json findings carry file/line/rule", `Quick, json_format);
-          ("empty scope exits 2", `Quick, empty_scope_is_an_error);
+          ("empty scope exits 2", `Quick,
+           empty_scope_is_an_error ~name:"alloc rules" ~args:(alloc []));
           ("wrapper-only scope exits 2", `Quick,
-           wrapper_only_scope_is_an_error);
+           wrapper_only_scope_is_an_error ~name:"alloc rules"
+             ~args:(alloc []) wrapper_cmt);
+        ] );
+      ( "rule selection",
+        [
+          ("--rules A1 alone flags A1_bad", `Quick,
+           single_rule_flags ~rule:"A1" (fixture_cmt "A1_bad"));
         ] );
     ]

@@ -1,45 +1,16 @@
-(* End-to-end tests for tools/pertlint: each fixture in
-   test/lint_fixtures violates exactly one rule at a documented line;
+(* End-to-end tests for pertlint's expression-local rules: each fixture
+   in test/lint_fixtures violates exactly one rule at a documented line;
    pertlint (run as a subprocess on the fixture's .cmt) must flag exactly
-   that line, and the allow_ok fixture must come out clean.
+   that line, and the allow_ok fixture must come out clean.  Runs that
+   rely on the default rule set select this family with --rules: the
+   whole-program rules (S3, S4, S5) would otherwise report on the
+   fixtures too. *)
 
-   The test runs from _build/default/test/lint, so the executable and the
-   fixture .cmt files are reachable by relative path. *)
-
-let exe = Filename.concat (Filename.concat ".." "..") "tools/pertlint/pertlint.exe"
+open Pertlint_harness
 
 let fixture_cmt modname =
   Printf.sprintf "../lint_fixtures/.lint_fixtures.objs/byte/lint_fixtures__%s.cmt"
     modname
-
-(* Returns (exit_code, output_lines). *)
-let run_pertlint args =
-  let out = Filename.temp_file "pertlint" ".out" in
-  let cmd =
-    Printf.sprintf "%s %s > %s 2>&1"
-      (Filename.quote exe)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out)
-  in
-  let code = Sys.command cmd in
-  let ic = open_in out in
-  let rec read acc =
-    match input_line ic with
-    | line -> read (line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  let lines = read [] in
-  close_in ic;
-  Sys.remove out;
-  (code, lines)
-
-let contains_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 
 (* (rule, fixture module, source basename, expected 1-based line,
    --assume-scope needed to arm the rule on a fixture .cmt) *)
@@ -63,19 +34,17 @@ let bad_fixtures =
 
 let rule_fires (rule, modname, src, line, scope) () =
   let code, lines =
-    run_pertlint [ "--rules"; rule; "--assume-scope"; scope; fixture_cmt modname ]
+    run [ "--rules"; rule; "--assume-scope"; scope; fixture_cmt modname ]
   in
   check_int (rule ^ " exit code") 1 code;
-  let tagged =
-    List.filter (fun l -> contains_sub l (Printf.sprintf "[%s]" rule)) lines
-  in
-  check_int (rule ^ " fires exactly once") 1 (List.length tagged);
+  let hits = tagged rule lines in
+  check_int (rule ^ " fires exactly once") 1 (List.length hits);
   check_bool
     (Printf.sprintf "%s flagged at %s:%d" rule src line)
     true
     (List.for_all
        (fun l -> contains_sub l (Printf.sprintf "%s:%d:" src line))
-       tagged)
+       hits)
 
 (* The same fixtures contain no violation of any *other* expression-level
    rule: with the fixture's own rule (and M1, which fires on every
@@ -89,7 +58,7 @@ let rule_isolated (rule, modname, _, _, _) () =
       (List.map (fun (r, _, _, _, _) -> r) bad_fixtures)
   in
   let code, lines =
-    run_pertlint
+    run
       [
         "--rules"; String.concat "," others;
         "--assume-scope"; "lib/tcp";
@@ -101,15 +70,28 @@ let rule_isolated (rule, modname, _, _, _) () =
 
 let allow_suppresses () =
   let code, lines =
-    run_pertlint [ "--assume-scope"; "lib"; fixture_cmt "Allow_ok" ]
+    run
+      [ "--rules"; lint_rules; "--assume-scope"; "lib"; fixture_cmt "Allow_ok" ]
   in
   check_int "allow_ok exit code" 0 code;
   check_int "allow_ok diagnostics" 0 (List.length lines)
 
+(* S4 reported alone: the expression-local rules still run and credit
+   every allow in allow_ok, so none of them is stale. *)
+let allows_credited_under_s4_alone () =
+  let code, lines =
+    run [ "--rules"; "S4"; "--assume-scope"; "lib"; fixture_cmt "Allow_ok" ]
+  in
+  check_int "S4-only exit code" 0 code;
+  check_int "no stale-allow finding" 0 (List.length (tagged "S4" lines))
+
 let stats_table () =
   let code, lines =
-    run_pertlint
-      [ "--stats"; "--assume-scope"; "lib"; fixture_cmt "Allow_ok" ]
+    run
+      [
+        "--stats"; "--rules"; lint_rules; "--assume-scope"; "lib";
+        fixture_cmt "Allow_ok";
+      ]
   in
   check_int "stats exit code" 0 code;
   check_bool "stats prints a total line" true
@@ -117,7 +99,7 @@ let stats_table () =
 
 let json_format () =
   let code, lines =
-    run_pertlint
+    run
       [ "--format"; "json"; "--rules"; "N1"; "--assume-scope"; "lib";
         fixture_cmt "N1_bad" ]
   in
@@ -129,15 +111,18 @@ let json_format () =
     (contains_sub joined "\"severity\": \"error\"");
   (* A clean scan must still print a valid (empty) JSON array. *)
   let code, lines =
-    run_pertlint
-      [ "--format"; "json"; "--assume-scope"; "lib"; fixture_cmt "Allow_ok" ]
+    run
+      [
+        "--format"; "json"; "--rules"; lint_rules; "--assume-scope"; "lib";
+        fixture_cmt "Allow_ok";
+      ]
   in
   check_int "clean json exit code" 0 code;
   check_bool "clean scan prints []" true
     (List.exists (fun l -> String.trim l = "[]") lines)
 
 let unknown_rule_rejected () =
-  let code, _ = run_pertlint [ "--rules"; "BOGUS"; fixture_cmt "Allow_ok" ] in
+  let code, _ = run [ "--rules"; "BOGUS"; fixture_cmt "Allow_ok" ] in
   check_int "unknown rule exit code" 2 code
 
 let () =
@@ -161,8 +146,15 @@ let () =
       ( "suppression",
         [
           ("[@lint.allow] suppresses every rule", `Quick, allow_suppresses);
+          ("--rules S4 alone credits every rule's allows", `Quick,
+           allows_credited_under_s4_alone);
           ("--stats prints the summary table", `Quick, stats_table);
           ("--format=json emits a findings array", `Quick, json_format);
           ("unknown --rules id is rejected", `Quick, unknown_rule_rejected);
+        ] );
+      ( "rule selection",
+        [
+          ("--rules D1 alone flags D1_bad", `Quick,
+           single_rule_flags ~rule:"D1" (fixture_cmt "D1_bad"));
         ] );
     ]

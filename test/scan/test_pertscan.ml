@@ -1,18 +1,13 @@
-(* End-to-end tests for tools/pertlint/pertscan: the whole-program
-   analyses (S1 race escape, S2 determinism taint, S3 dead exports,
-   S4 stale allows, S5 snapshot-invisible state) run as a subprocess
-   over the fixture .cmt/.cmti files in test/scan_fixtures. Every analysis is exercised as a pair:
-   a true positive asserting the documented diagnostic and location,
-   and a structurally-matched true negative that must stay silent.
+(* End-to-end tests for pertlint's whole-program rules (S1 race escape,
+   S2 determinism taint, S3 dead exports, S4 stale allows, S5
+   snapshot-invisible state), run as a subprocess over the fixture
+   .cmt/.cmti files in test/scan_fixtures. Every analysis is exercised as
+   a pair: a true positive asserting the documented diagnostic and
+   location, and a structurally-matched true negative that must stay
+   silent.  Runs select this family with --rules unless a test picks its
+   own subset. *)
 
-   The test runs from _build/default/test/scan, so the executables and
-   the fixture objects are reachable by relative path. *)
-
-let scan_exe =
-  Filename.concat (Filename.concat ".." "..") "tools/pertlint/pertscan.exe"
-
-let lint_exe =
-  Filename.concat (Filename.concat ".." "..") "tools/pertlint/pertlint.exe"
+open Pertlint_harness
 
 let fixture_dir = "../scan_fixtures/.scan_fixtures.objs/byte"
 
@@ -23,69 +18,15 @@ let fixture_cmti modname =
   Printf.sprintf "%s/scan_fixtures__%s.cmti" fixture_dir modname
 
 (* The library wrapper module, compiled from dune's generated .ml-gen —
-   a .cmt pertscan deliberately refuses to treat as a scannable unit. *)
+   a .cmt pertlint deliberately refuses to treat as a scannable unit. *)
 let wrapper_cmt = Printf.sprintf "%s/scan_fixtures.cmt" fixture_dir
 
-(* Returns (exit_code, output_lines), stderr included — the exit-2
-   config errors print there. *)
-let run exe args =
-  let out = Filename.temp_file "pertscan" ".out" in
-  let cmd =
-    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote exe)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out)
-  in
-  let code = Sys.command cmd in
-  let ic = open_in out in
-  let rec read acc =
-    match input_line ic with
-    | line -> read (line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  let lines = read [] in
-  close_in ic;
-  Sys.remove out;
-  (code, lines)
+let scan args = "--rules" :: scan_rules :: args
 
-let contains_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
-  m = 0 || go 0
+let fires ~rule ~modname =
+  fires ~rule ~args:(scan [ fixture_cmt modname ])
 
-let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-
-let tagged rule lines =
-  List.filter (fun l -> contains_sub l (Printf.sprintf "[%s]" rule)) lines
-
-(* A true positive: pertscan on the fixture alone exits 1 with exactly
-   one line carrying the rule tag, pinned to the documented location and
-   containing every documented message fragment. *)
-let fires ~rule ~modname ~loc ~fragments () =
-  let code, lines = run scan_exe [ fixture_cmt modname ] in
-  check_int (rule ^ " exit code") 1 code;
-  match tagged rule lines with
-  | [ line ] ->
-      check_bool
-        (Printf.sprintf "%s flagged at %s" rule loc)
-        true
-        (contains_sub line (loc ^ ":"));
-      List.iter
-        (fun frag ->
-          check_bool
-            (Printf.sprintf "%s diagnostic mentions %S" rule frag)
-            true (contains_sub line frag))
-        fragments
-  | other ->
-      Alcotest.failf "%s: expected exactly one [%s] line, got %d" rule rule
-        (List.length other)
-
-(* A true negative: the structurally-matched clean fixture produces no
-   output at all and exits 0. *)
-let silent ~modname () =
-  let code, lines = run scan_exe [ fixture_cmt modname ] in
-  check_int (modname ^ " exit code") 0 code;
-  check_int (modname ^ " is clean") 0 (List.length lines)
+let silent ~modname = silent ~modname ~args:(scan [ fixture_cmt modname ])
 
 let s1_capture_true_positive =
   fires ~rule:"S1" ~modname:"Race_capture_bad"
@@ -139,7 +80,7 @@ let s3_scope =
   ]
 
 let s3_dead_vs_used_export () =
-  let code, lines = run scan_exe ([ "--rules"; "S3" ] @ s3_scope) in
+  let code, lines = run ([ "--rules"; "S3" ] @ s3_scope) in
   check_int "S3 exit code" 1 code;
   (match tagged "S3" lines with
   | [ line ] ->
@@ -160,8 +101,7 @@ let s3_dead_vs_used_export () =
    only the no-op N2 allow in stale_allow.ml is stale. *)
 let s4_stale_vs_live_allow () =
   let code, lines =
-    run scan_exe
-      ([ "--rules"; "S3,S4" ] @ s3_scope @ [ fixture_cmt "Stale_allow" ])
+    run ([ "--rules"; "S3,S4" ] @ s3_scope @ [ fixture_cmt "Stale_allow" ])
   in
   check_int "S3,S4 exit code" 1 code;
   (match tagged "S4" lines with
@@ -181,26 +121,10 @@ let s4_stale_vs_live_allow () =
 (* S5 is scoped to lib/ and the fixtures live under test/, so every S5
    case runs with --assume-scope lib; the raw whole-tree run below
    doubles as the out-of-scope true negative. *)
-let s5_fires ~modname ~loc ~fragments () =
-  let code, lines =
-    run scan_exe [ "--assume-scope"; "lib"; fixture_cmt modname ]
-  in
-  check_int "S5 exit code" 1 code;
-  match tagged "S5" lines with
-  | [ line ] ->
-      check_bool
-        (Printf.sprintf "S5 flagged at %s" loc)
-        true
-        (contains_sub line (loc ^ ":"));
-      List.iter
-        (fun frag ->
-          check_bool
-            (Printf.sprintf "S5 diagnostic mentions %S" frag)
-            true (contains_sub line frag))
-        fragments
-  | other ->
-      Alcotest.failf "S5: expected exactly one [S5] line, got %d"
-        (List.length other)
+let s5_fires ~modname ~loc ~fragments =
+  Pertlint_harness.fires ~rule:"S5"
+    ~args:(scan [ "--assume-scope"; "lib"; fixture_cmt modname ])
+    ~loc ~fragments
 
 let s5_global_true_positive =
   s5_fires ~modname:"Snap_global_bad"
@@ -221,23 +145,20 @@ let s5_resource_field_true_positive =
         "annotate the field [@snapshot.opaque]";
       ]
 
-let s5_opaque_fixtures_silent () =
-  let code, lines =
-    run scan_exe [ "--assume-scope"; "lib"; fixture_cmt "Snap_ok" ]
-  in
-  check_int "Snap_ok exit code" 0 code;
-  check_int "Snap_ok is clean" 0 (List.length lines)
+let s5_opaque_fixtures_silent =
+  Pertlint_harness.silent ~modname:"Snap_ok"
+    ~args:(scan [ "--assume-scope"; "lib"; fixture_cmt "Snap_ok" ])
 
 (* S4 interplay: in lib scope the [@lint.allow "S5"] suppresses a real
    diagnostic and is credited — a silent run.  Out of scope the same
    attribute suppresses nothing and is itself the finding. *)
 let s5_allow_credited_in_scope () =
   let code, lines =
-    run scan_exe [ "--assume-scope"; "lib"; fixture_cmt "Snap_allow" ]
+    run (scan [ "--assume-scope"; "lib"; fixture_cmt "Snap_allow" ])
   in
   check_int "credited allow exit code" 0 code;
   check_int "credited allow run is silent" 0 (List.length lines);
-  let code, lines = run scan_exe [ fixture_cmt "Snap_allow" ] in
+  let code, lines = run (scan [ fixture_cmt "Snap_allow" ]) in
   check_int "out-of-scope exit code" 1 code;
   match tagged "S4" lines with
   | [ line ] ->
@@ -252,7 +173,7 @@ let s5_allow_credited_in_scope () =
    second S4 finding is snap_allow.ml's [@lint.allow "S5"]: live only
    under --assume-scope lib, stale in this raw run — see above.) *)
 let whole_tree_finding_counts () =
-  let code, lines = run scan_exe [ "--stats"; fixture_dir ] in
+  let code, lines = run (scan [ "--stats"; fixture_dir ]) in
   check_int "whole-tree exit code" 1 code;
   check_int "two S1 findings" 2 (List.length (tagged "S1" lines));
   check_int "one S2 finding" 1 (List.length (tagged "S2" lines));
@@ -265,7 +186,7 @@ let whole_tree_finding_counts () =
 
 let json_format () =
   let code, lines =
-    run scan_exe [ "--format=json"; fixture_cmt "Taint_bad" ]
+    run (scan [ "--format=json"; fixture_cmt "Taint_bad" ])
   in
   check_int "json exit code" 1 code;
   let blob = String.concat "\n" lines in
@@ -279,31 +200,6 @@ let json_format () =
       "\"line\": 8";
       "\"severity\": \"error\"";
     ]
-
-(* Exit-code contract for misdirected scopes: an empty directory (no
-   .cmt at all) and a wrapper-only scope (a .cmt that is not a scannable
-   implementation) are configuration errors — exit 2, never a clean 0 —
-   for pertscan and pertlint alike. *)
-let fresh_empty_dir () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "pertscan_empty_scope"
-  in
-  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-  dir
-
-let empty_scope_is_an_error exe name () =
-  let code, lines = run exe [ fresh_empty_dir () ] in
-  check_int (name ^ " exit code on empty scope") 2 code;
-  check_bool (name ^ " explains the empty scope") true
-    (List.exists (fun l -> contains_sub l "no .cmt files") lines)
-
-let wrapper_only_scope_is_an_error exe name () =
-  let code, lines = run exe [ wrapper_cmt ] in
-  check_int (name ^ " exit code on wrapper-only scope") 2 code;
-  check_bool (name ^ " explains the unscannable scope") true
-    (List.exists
-       (fun l -> contains_sub l "none was a scannable implementation")
-       lines)
 
 let () =
   Alcotest.run "pertscan"
@@ -351,12 +247,20 @@ let () =
            whole_tree_finding_counts);
           ("json findings carry file/line/rule", `Quick, json_format);
           ("pertscan: empty scope exits 2", `Quick,
-           empty_scope_is_an_error scan_exe "pertscan");
+           empty_scope_is_an_error ~name:"scan rules" ~args:(scan []));
           ("pertlint: empty scope exits 2", `Quick,
-           empty_scope_is_an_error lint_exe "pertlint");
+           empty_scope_is_an_error ~name:"lint rules"
+             ~args:[ "--rules"; lint_rules ]);
           ("pertscan: wrapper-only scope exits 2", `Quick,
-           wrapper_only_scope_is_an_error scan_exe "pertscan");
+           wrapper_only_scope_is_an_error ~name:"scan rules" ~args:(scan [])
+             wrapper_cmt);
           ("pertlint: wrapper-only scope exits 2", `Quick,
-           wrapper_only_scope_is_an_error lint_exe "pertlint");
+           wrapper_only_scope_is_an_error ~name:"lint rules"
+             ~args:[ "--rules"; lint_rules ] wrapper_cmt);
+        ] );
+      ( "rule selection",
+        [
+          ("--rules S1 alone flags Race_capture_bad", `Quick,
+           single_rule_flags ~rule:"S1" (fixture_cmt "Race_capture_bad"));
         ] );
     ]

@@ -1,4 +1,4 @@
-(* alloc_core — whole-program allocation-effect analysis (pertalloc).
+(* alloc_core — whole-program allocation-effect analysis (rules A1..A3).
 
    Per-function summaries are computed from the typedtree: every
    heap-allocating construct in a body is recorded as a *site* (record /
@@ -8,7 +8,7 @@
    into mixed-representation records, calls into allocating stdlib
    entries), and every call to another analysable function becomes an
    *edge*.  Reachability from the [@alloc.zero]-annotated roots over the
-   edges — pertscan's alias-following name resolution (Scan_graph) makes
+   edges — the alias-following name resolution of Scan_graph makes
    the cross-module edges precise — then turns sites into findings:
 
      A1  any heap allocation reachable from an [@alloc.zero] root, with
@@ -688,11 +688,11 @@ let loc_key (loc : Location.t) =
   let p = loc.loc_start in
   (p.pos_fname, p.pos_lnum, p.pos_cnum - p.pos_bol)
 
-(* Per-root breadth-first walk over the call edges.  [report = true]
-   emits findings (pertalloc); [report = false] only credits the allow
-   attributes that suppress would-be findings, so pertscan's S4 pass
-   sees A-rule allows as live (mirrors the pertlint tracking re-run). *)
-let report_reachable ~report () =
+(* Per-root breadth-first walk over the call edges.  A site is reported
+   once, for the first root that reaches it; every later visit still
+   credits the allow that covers it, so S4 sees each live A-rule allow
+   whichever rule or root it serves. *)
+let report_reachable () =
   let emitted : (string * int * int, unit) Hashtbl.t = Hashtbl.create 64 in
   let roots =
     List.rev !node_order
@@ -711,27 +711,25 @@ let report_reachable ~report () =
           (fun n ->
             List.iter
               (fun s ->
-                if report then begin
-                  if not (Hashtbl.mem emitted (loc_key s.st_loc)) then begin
-                    (* reserve the loc only if the finding is actually
-                       emitted (rule enabled and not allowed) — an
-                       allowed site must not shadow itself for a later
-                       root either, so reserve unconditionally *)
-                    Hashtbl.replace emitted (loc_key s.st_loc) ();
-                    let chain =
-                      match path with
-                      | [] | [ _ ] -> "directly in the annotated body"
-                      | p ->
-                          "call chain: "
-                          ^ String.concat " -> " (take 6 p)
-                    in
-                    report_in_scope s.st_scope s.st_rule s.st_loc
-                      (Printf.sprintf
-                         "%s — on the zero-alloc path from [@alloc.zero] '%s' (%s)"
-                         s.st_what root.n_name chain)
-                  end
-                end
-                else ignore (scope_allows s.st_scope s.st_rule))
+                if Hashtbl.mem emitted (loc_key s.st_loc) then
+                  ignore (scope_allows s.st_scope s.st_rule)
+                else begin
+                  (* reserved even when the site is allowed or its rule
+                     filtered out: it must not resurface under a later
+                     root *)
+                  Hashtbl.replace emitted (loc_key s.st_loc) ();
+                  let chain =
+                    match path with
+                    | [] | [ _ ] -> "directly in the annotated body"
+                    | p ->
+                        "call chain: "
+                        ^ String.concat " -> " (take 6 p)
+                  in
+                  report_in_scope s.st_scope s.st_rule s.st_loc
+                    (Printf.sprintf
+                       "%s — on the zero-alloc path from [@alloc.zero] '%s' (%s)"
+                       s.st_what root.n_name chain)
+                end)
               n.n_sites;
             List.iter
               (fun k ->
@@ -748,13 +746,7 @@ let report_reachable ~report () =
 
 (* ---------- entry point ---------- *)
 
-let arm (l : loaded) =
-  cur_source := l.l_source;
-  cur_in_lib := string_prefix ~prefix:"lib/" l.l_source;
-  file_allows := file_level_allows l.l_str;
-  allow_stack := []
-
-let run ~report (prepared : (loaded * unit_ctx) list) =
+let run (prepared : (loaded * unit_ctx) list) =
   Hashtbl.reset nodes;
   node_order := [];
   List.iteri (fun idx (l, ctx) -> register_unit ~idx ctx l) prepared;
@@ -763,9 +755,9 @@ let run ~report (prepared : (loaded * unit_ctx) list) =
      unit, not once per node. *)
   Array.iteri
     (fun idx (l, ctx) ->
-      arm l;
+      enter_file l;
       List.iter
         (fun n -> if n.n_unit = idx then walk_node ~idx ctx n)
         (List.rev !node_order))
     by_unit;
-  report_reachable ~report ()
+  report_reachable ()

@@ -1,14 +1,15 @@
-(* lint_core — the shared engine behind pertlint and pertscan.
+(* lint_core — the engine behind pertlint's rule families.
 
-   pertlint (file-at-a-time, expression-local rules D1..W1) and pertscan
-   (whole-program analyses S1..S4) share everything below: the rule
-   registry, the [@lint.allow] suppression machinery (with per-attribute
-   hit tracking, which is what lets pertscan report *stale* suppressions),
-   diagnostic accounting, text/json emission and .cmt collection.
+   Everything the families share lives here: the rule registry, the
+   [@lint.allow] suppression machinery (with per-attribute hit tracking,
+   which is what lets S4 report *stale* suppressions), diagnostic
+   accounting, text/json emission, .cmt collection, and the
+   expression-local rules D1..W1 themselves.  The whole-program families
+   are Scan_core (S1, S2, S3, S5) and Alloc_core (A1..A3).
 
-   The rules themselves are documented in pertlint.ml (expression-local)
-   and pertscan.ml (whole-program); README "Static analysis" and
-   "Whole-program analysis" carry the user-facing tables. *)
+   Every rule is documented in pertlint.ml's header; README "Static
+   analysis", "Whole-program analysis" and "Allocation discipline" carry
+   the user-facing tables. *)
 
 (* No current rule is warning-severity; the level exists so later rules can
    be introduced without immediately gating the build. *)
@@ -16,9 +17,10 @@ type severity = Err | Warn [@@warning "-37"]
 
 type rule = { id : string; severity : severity; what : string }
 
-(* pertlint's expression-local rules. *)
-let lint_rules =
+(* Every rule, in stats-table order. *)
+let all_rules =
   [
+    (* expression-local (check_file) *)
     { id = "D1"; severity = Err; what = "Random.* outside lib/engine/rng.ml" };
     { id = "D2"; severity = Err; what = "wall-clock/environment read in lib/" };
     { id = "D3"; severity = Err; what = "module-toplevel mutable state in lib/" };
@@ -33,13 +35,7 @@ let lint_rules =
     { id = "P1"; severity = Err; what = "concurrency primitive in lib/ outside lib/parallel" };
     { id = "R1"; severity = Err; what = "blocking/process-control call in lib/" };
     { id = "W1"; severity = Err; what = "raw int window binding in lib/tcp outside Tcp_window" };
-  ]
-
-(* pertscan's whole-program rules.  Registered here so [@lint.allow "S1"]
-   parses uniformly and so the stale-suppression pass (S4) can tell a
-   pertscan allow from a typo. *)
-let scan_rules =
-  [
+    (* whole-program (Scan_core, and S4 below) *)
     { id = "S1"; severity = Err;
       what = "mutable state escapes unsynchronized into a Parallel task" };
     { id = "S2"; severity = Err;
@@ -51,13 +47,7 @@ let scan_rules =
     { id = "S5"; severity = Err;
       what = "mutable lib/ state a snapshot cannot capture, without \
               [@snapshot.opaque]" };
-  ]
-
-(* pertalloc's allocation-effect rules.  Same registration rationale as
-   the scan rules: [@lint.allow "A1"] must parse everywhere, and S4 must
-   recognise an A-rule allow as potentially live. *)
-let alloc_rules =
-  [
+    (* allocation-effect (Alloc_core) *)
     { id = "A1"; severity = Err;
       what = "heap allocation reachable from an [@alloc.zero] root" };
     { id = "A2"; severity = Err;
@@ -66,30 +56,26 @@ let alloc_rules =
       what = "per-iteration closure allocation in a loop on the hot path" };
   ]
 
-let all_rules = lint_rules @ scan_rules @ alloc_rules
 let rule_by_id id = List.find_opt (fun r -> r.id = id) all_rules
 
 (* ---------- configuration (set once from the CLI by the driver) ---------- *)
 
-let prog = ref "pertlint"
-let enabled_rules = ref (List.map (fun r -> r.id) lint_rules)
+let prog = "pertlint"
+
+(* Rules whose findings are reported.  Every family always runs whatever
+   this says, so an allow is credited even when its rule is filtered
+   out, and S4 stays exact under any --rules subset. *)
+let enabled_rules = ref (List.map (fun r -> r.id) all_rules)
 let assume_scope_lib = ref false
 let assume_scope_tcp = ref false
 let quiet = ref false
 let stats = ref false
 let format_json = ref false
 
-(* When false, [report] only exercises the suppression machinery (so allow
-   hits are still recorded) and emits/counts nothing.  pertscan runs the
-   expression-local checks in this mode: it must learn which allows fire
-   without re-reporting pertlint's diagnostics. *)
-let report_enabled = ref true
-
 (* ---------- per-run accounting ---------- *)
 
 let counts : (string, int) Hashtbl.t = Hashtbl.create 8
 let error_total = ref 0
-let files_scanned = ref 0
 
 type finding = {
   f_file : string;
@@ -106,11 +92,11 @@ let findings : finding list ref = ref []
 (* ---------- suppression ---------- *)
 
 (* Every [@lint.allow] attribute instance seen during a run, keyed by its
-   source location so the two walks that may visit the same attribute
-   (the main iterator and pertlint's dedicated D3 walk) share one entry.
-   [hits] counts the diagnostics the attribute actually suppressed; an
-   entry still at 0 when the whole program has been analysed is a stale
-   suppression (pertscan rule S4). *)
+   source location so the walks that may visit the same attribute (the
+   main iterator, the dedicated D3 walk, the whole-program passes) share
+   one entry.  [hits] counts the diagnostics the attribute actually
+   suppressed; an entry still at 0 when every family has run is a stale
+   suppression (rule S4). *)
 type allow_entry = {
   a_loc : Location.t;
   a_rules : string list;
@@ -200,8 +186,6 @@ let scope_allows scope id =
       true
   | None -> false
 
-let allowed id = scope_allows (current_allow_scope ()) id
-
 let emit_finding id (loc : Location.t) msg =
   let r = match rule_by_id id with Some r -> r | None -> assert false in
   let p = loc.loc_start in
@@ -223,17 +207,16 @@ let emit_finding id (loc : Location.t) msg =
     Printf.printf "%s:%d:%d: %s [%s] %s\n" p.pos_fname p.pos_lnum
       (p.pos_cnum - p.pos_bol) sev id msg
 
-(* Report against the ambient (traversal-time) suppression scope. *)
-let report id (loc : Location.t) msg =
-  if List.mem id !enabled_rules && not (allowed id) then
-    if !report_enabled then emit_finding id loc msg
-
-(* Report against a scope snapshotted earlier with
-   [current_allow_scope] — pertscan's whole-program findings are emitted
-   long after the traversal that discovered their sites. *)
+(* Report against a scope snapshotted earlier with [current_allow_scope]
+   — whole-program findings are emitted long after the traversal that
+   discovered their sites.  The allow check comes first: it credits the
+   suppressing attribute whether or not [id] is enabled. *)
 let report_in_scope scope id (loc : Location.t) msg =
-  if List.mem id !enabled_rules && not (scope_allows scope id) then
+  if (not (scope_allows scope id)) && List.mem id !enabled_rules then
     emit_finding id loc msg
+
+(* Report against the ambient (traversal-time) suppression scope. *)
+let report id loc msg = report_in_scope (current_allow_scope ()) id loc msg
 
 (* ---------- cmt loading ---------- *)
 
@@ -250,7 +233,7 @@ let load_cmt path =
        exception; fail the run with a pointer to the file. *)
     (try Cmt_format.read_cmt path
      with _ ->
-       Printf.eprintf "%s: cannot read %s\n" !prog path;
+       Printf.eprintf "%s: cannot read %s\n" prog path;
        exit 2)
     [@lint.allow "H1"]
   in
@@ -275,7 +258,7 @@ let load_cmti path =
   let info =
     (try Cmt_format.read_cmt path
      with _ ->
-       Printf.eprintf "%s: cannot read %s\n" !prog path;
+       Printf.eprintf "%s: cannot read %s\n" prog path;
        exit 2)
     [@lint.allow "H1"]
   in
@@ -296,9 +279,9 @@ let file_level_allows (s : Typedtree.structure) =
     s.str_items
 
 (* Arm the per-file state for [l]; every subsequent [report] attributes
-   diagnostics to its source file. *)
+   diagnostics to its source file and resolves allows against its
+   file-level attributes. *)
 let enter_file (l : loaded) =
-  incr files_scanned;
   cur_source := l.l_source;
   cur_in_lib := !assume_scope_lib || string_prefix ~prefix:"lib/" l.l_source;
   file_allows := file_level_allows l.l_str;
@@ -324,7 +307,7 @@ let collect_under ~suffix roots =
   List.concat_map
     (fun r ->
       if not (Sys.file_exists r) then begin
-        Printf.eprintf "%s: no such path %s\n" !prog r;
+        Printf.eprintf "%s: no such path %s\n" prog r;
         exit 2
       end;
       List.sort compare (collect ~suffix [] r))
@@ -339,13 +322,13 @@ let require_nonempty ~what roots xs =
     Printf.eprintf
       "%s: no %s under %s — build first, and point at the _build tree (e.g. \
        _build/default/lib)\n"
-      !prog what
+      prog what
       (String.concat " " roots);
     exit 2
   end;
   xs
 
-(* ---------- expression-local rule predicates (pertlint D1..W1) ---------- *)
+(* ---------- expression-local rule predicates (D1..W1) ---------- *)
 
 let in_lib () = !cur_in_lib
 let is_rng_ml () = string_suffix ~suffix:"lib/engine/rng.ml" !cur_source
@@ -721,11 +704,31 @@ let check_file (l : loaded) =
   if in_lib () then d3_structure l.l_str;
   iterator.structure iterator l.l_str
 
+(* ---------- S4: stale suppressions ---------- *)
+
+(* Runs last: every family has credited the attributes that earn their
+   keep by then.  S4 itself is not suppressible (delete the attribute). *)
+let report_stale_allows () =
+  registered_allows ()
+  |> List.filter (fun e -> !(e.a_hits) = 0)
+  |> List.sort (fun a b ->
+         compare
+           ( a.a_loc.Location.loc_start.pos_fname,
+             a.a_loc.Location.loc_start.pos_lnum )
+           ( b.a_loc.Location.loc_start.pos_fname,
+             b.a_loc.Location.loc_start.pos_lnum ))
+  |> List.iter (fun e ->
+         report_in_scope [] "S4" e.a_loc
+           (Printf.sprintf
+              "[@lint.allow \"%s\"] suppresses no diagnostic; delete the stale \
+               attribute"
+              (String.concat " " e.a_rules)))
+
 (* ---------- output ---------- *)
 
 (* Stats go to stderr under --format=json so stdout stays a valid JSON
    document for tooling to parse. *)
-let print_stats () =
+let print_stats ~files =
   let oc = if !format_json then stderr else stdout in
   Printf.fprintf oc "\nrule  severity  count  description\n";
   Printf.fprintf oc "----  --------  -----  -----------\n";
@@ -739,7 +742,7 @@ let print_stats () =
     all_rules;
   Printf.fprintf oc "total: %d violation(s) across %d file(s)\n"
     (Hashtbl.fold (fun _ n acc -> n + acc) counts 0)
-    !files_scanned
+    files
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -769,57 +772,7 @@ let print_json () =
     | [] -> "[]\n"
     | items -> "[\n" ^ String.concat ",\n" items ^ "\n]\n")
 
-(* ---------- shared CLI scaffolding ---------- *)
-
-let set_rules ~known s =
-  let ids =
-    String.split_on_char ',' s |> List.map String.trim
-    |> List.filter (fun x -> x <> "")
-  in
-  List.iter
-    (fun id ->
-      if not (List.exists (fun r -> r.id = id) known) then begin
-        Printf.eprintf "%s: unknown rule %S\n" !prog id;
-        exit 2
-      end)
-    ids;
-  enabled_rules := ids
-
-let common_spec ~known =
-  [
-    ( "--rules",
-      Arg.String (set_rules ~known),
-      "R1,R2 only check the listed rules" );
-    ( "--assume-scope",
-      Arg.String
-        (fun s ->
-          match s with
-          | "lib" -> assume_scope_lib := true
-          | "lib/tcp" ->
-              (* lib/tcp is inside lib: the narrower assumption implies
-                 the wider one. *)
-              assume_scope_lib := true;
-              assume_scope_tcp := true
-          | _ ->
-              Printf.eprintf
-                "%s: --assume-scope takes 'lib' or 'lib/tcp'\n" !prog;
-              exit 2),
-      "SCOPE treat every file as if it lived under lib/ or lib/tcp/ (fixture testing)" );
-    ("--stats", Arg.Set stats, " print a per-rule violation count table");
-    ("--quiet", Arg.Set quiet, " suppress per-violation diagnostics");
-    ( "--format",
-      Arg.String
-        (fun s ->
-          match s with
-          | "text" -> format_json := false
-          | "json" -> format_json := true
-          | _ ->
-              Printf.eprintf "%s: --format takes 'text' or 'json'\n" !prog;
-              exit 2),
-      "FMT output format: text (default) or json (findings array on stdout)" );
-  ]
-
-let finish () =
+let finish ~files =
   if !format_json then print_json ();
-  if !stats then print_stats ();
+  if !stats then print_stats ~files;
   exit (if !error_total > 0 then 1 else 0)

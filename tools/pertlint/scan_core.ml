@@ -1,65 +1,28 @@
-(* pertscan — whole-program domain-safety & determinism analyzer.
+(* scan_core — pertlint's whole-program domain-safety & determinism
+   family: S1 (shared-mutable escapes into Parallel tasks), S2
+   (determinism taint), S3 (unused exports) and S5 (snapshot-invisible
+   state).  The rules and their suppression sites are documented in
+   pertlint.ml's header; S4 (stale suppressions) lives in Lint_core and
+   runs after every family.
 
-   Where pertlint walks one .cmt at a time and checks single expressions,
-   pertscan loads every .cmt (and .cmti) in scope at once, builds a
+   Where the expression-local rules look at one expression at a time,
+   this family sees every .cmt (and .cmti) in scope at once: it builds a
    cross-module mention/call graph plus two value-flow pools (record
    fields holding functions, and function arguments forwarded into the
-   Parallel pool), and runs five whole-program analyses:
-
-     S1  shared-mutable-escape race detector — a ref / array / Hashtbl /
-         Buffer / Queue / Bytes / mutable-record value that is reachable
-         from a closure handed to [Parallel.submit]/[map]/
-         [submit_supervised] (directly, through a record field such as
-         [Registry.experiment.run], or through a function argument
-         forwarded by a submitter like [Runner.map]) while also being
-         reachable from the submitting context, with no
-         [Mutex.protect]/[Parallel.Guard.with_] on the accesses inside
-         the task.  The diagnostic carries the whole chain: allocation
-         site -> capture/access site -> submission site.
-     S2  determinism taint — sources are Hashtbl iteration order
-         ([iter]/[fold]/[to_seq*]), physical equality on boxed values,
-         shortest-round-trip float formatting ([string_of_float]/
-         [Float.to_string], which emit non-finite tokens), and draws from
-         an Rng minted at module toplevel (not derived from a per-sim
-         seed); sinks are the result store ([Store.put]/[write_atomic]),
-         the table renderers ([Output.*] and [Output.table] literals) and
-         the trace emitters ([Tracer.to_string]/[save]).  Taint flows
-         through lets, calls and data constructors; sorting
-         ([List.sort*]/[Array.sort*]) sanitizes.
-     S3  unused exports — a [val] in an .mli never referenced outside its
-         own module anywhere in the program (bins, tests, examples and
-         benches count as references).
-     S4  stale suppressions — a [@lint.allow] attribute that suppressed
-         no diagnostic of any rule (pertlint's expression-local rules are
-         re-run in tracking mode so their hits count).
-     S5  snapshot-invisible mutable state — [Sim.Snapshot.save] marshals
-         exactly what is reachable from the (simulation, world) pair, so
-         a module-level mutable in lib/ silently resets on restore, and a
-         record field holding an OS resource ([out_channel],
-         [Unix.file_descr], [Mutex.t], ...) either aborts Marshal or
-         restores as a dead handle.  Both must carry [@snapshot.opaque]
-         — a reviewed claim that the state is recomputable or
-         deliberately per-process.
-
-   Suppression: the same [@lint.allow "S1"] syntax pertlint uses.  S1 is
-   judged at the submission site, S2 at the sink, S3 at the [val] in the
-   .mli ([val f : t [@@lint.allow "S3"]] with a comment saying why the
-   export is kept), S4 is not suppressible (delete the attribute), S5 at
-   the binding or field declaration (prefer [@snapshot.opaque], which
-   also documents the checkpointing contract).
+   Parallel pool) and runs its analyses over them.
 
    Soundness caveats (see DESIGN.md "Whole-program analysis"): the
    analysis is name-based across modules (no Env reconstruction), does
    not see through first-class modules or functors, treats every function
    stored in a same-named record field alike, models [Mutex] guarding
    only in its scoped forms ([Mutex.protect], [Parallel.Guard.with_]) and
-   trusts lib/parallel (the audited pool, pertlint P1) wholesale. *)
+   trusts lib/parallel (the audited pool, rule P1) wholesale. *)
 
 open Lint_core
 open Scan_graph
 
 (* Name normalisation, alias resolution, path classification and the
-   per-unit prepass live in Scan_graph, shared with pertalloc. *)
+   per-unit prepass live in Scan_graph, shared with Alloc_core. *)
 
 (* ---------- per-unit extraction ---------- *)
 
@@ -77,8 +40,8 @@ type capture = {
   c_guarded : bool;  (** every use inside the closure is guarded *)
 }
 
-(* What a closure (or a function body) can reach, as far as pertscan can
-   see: global values it mentions, record fields of function type it
+(* What a closure (or a function body) can reach, as far as this family
+   can see: global values it mentions, record fields of function type it
    calls through, and the enclosing-scope variables it captures. *)
 type closure_info = {
   cl_loc : Location.t;
@@ -124,10 +87,10 @@ type value_info = {
 }
 
 type unit_info = {
+  ui_unit : loaded;
+  ui_ctx : unit_ctx;
   ui_mod : string;  (** normalised unit module name *)
-  ui_source : string;
   ui_in_parallel : bool;
-  ui_str : Typedtree.structure;
   mutable ui_values : value_info list;
   mutable ui_mutables : mutable_def list;
   mutable ui_rogue_rngs : gref list;  (** toplevel Rng.create/split *)
@@ -419,20 +382,21 @@ let record_field_stores ctx fields =
       | _ -> ())
     fields
 
-let extract_unit (l : loaded) =
-  (* Prepass: toplevel value idents, module aliases, mutable-record type
-     declarations (shared with pertalloc via Scan_graph.build_ctx). *)
-  let ctx =
-    build_ctx
-      ~on_mutable_record:(fun r -> Hashtbl.replace mutable_records r ())
-      ~modname:l.l_modname l.l_str
-  in
+(* The per-unit prepass: toplevel value idents, module aliases and
+   mutable-record type declarations.  It must run over every unit before
+   [run] analyses any body; Alloc_core reuses the contexts. *)
+let prepare (l : loaded) =
+  build_ctx
+    ~on_mutable_record:(fun r -> Hashtbl.replace mutable_records r ())
+    ~modname:l.l_modname l.l_str
+
+let extract_unit (l : loaded) ctx =
   let ui =
     {
+      ui_unit = l;
+      ui_ctx = ctx;
       ui_mod = ctx.x_mod;
-      ui_source = l.l_source;
       ui_in_parallel = string_contains ~sub:"lib/parallel/" l.l_source;
-      ui_str = l.l_str;
       ui_values = [];
       ui_mutables = [];
       ui_rogue_rngs = [];
@@ -442,11 +406,12 @@ let extract_unit (l : loaded) =
       ui_def_locs = [];
     }
   in
-  (ui, ctx)
+  ui
 
 (* Main extraction over one unit's structure: per-value mentions,
    submissions, callsites, field stores, local lambdas, def locs. *)
-let extract_body (ui : unit_info) ctx =
+let extract_body (ui : unit_info) =
+  let ctx = ui.ui_ctx in
   let cur_value : gref option ref = ref None in
   let cur_mentions = ref [] in
   let cur_fields = ref [] in
@@ -565,12 +530,13 @@ let extract_body (ui : unit_info) ctx =
         | _ -> ())
       its
   in
-  items ui.ui_mod ui.ui_str.str_items
+  items ui.ui_mod ui.ui_unit.l_str.str_items
 
 (* Collect toplevel lambdas bound to local idents inside function bodies
    too: [let work () = ... in Parallel.map ~jobs work xs].  A single
    extra sweep over every value body. *)
-let collect_local_lambdas (ui : unit_info) ctx =
+let collect_local_lambdas (ui : unit_info) =
+  let ctx = ui.ui_ctx in
   let expr sub (e : Typedtree.expression) =
     (match e.exp_desc with
     | Texp_let (_, vbs, _) ->
@@ -589,22 +555,14 @@ let collect_local_lambdas (ui : unit_info) ctx =
     Tast_iterator.(default_iterator.expr) sub e
   in
   let iter = { Tast_iterator.default_iterator with expr } in
-  iter.structure iter ui.ui_str
+  iter.structure iter ui.ui_unit.l_str
 
 (* ---------- global tables ---------- *)
-
-let pairs : (unit_info * unit_ctx) list ref = ref []
 
 (* multi-binding: two libraries may normalise to the same module name *)
 let values_tbl : (gref, value_info) Hashtbl.t = Hashtbl.create 512
 let mutables_tbl : (gref, mutable_def) Hashtbl.t = Hashtbl.create 32
 let rogue_rngs : (gref, unit) Hashtbl.t = Hashtbl.create 8
-
-let arm_file (ui : unit_info) =
-  cur_source := ui.ui_source;
-  cur_in_lib := string_prefix ~prefix:"lib/" ui.ui_source;
-  file_allows := file_level_allows ui.ui_str;
-  allow_stack := []
 
 let build_tables () =
   List.iter
@@ -1049,8 +1007,9 @@ let rec fun_body_taint ctx env (e : Typedtree.expression) =
 let taint_pass record =
   s2_record := record;
   List.iter
-    (fun (ui, ctx) ->
-      arm_file ui;
+    (fun ui ->
+      enter_file ui.ui_unit;
+      let ctx = ui.ui_ctx in
       List.iter
         (fun vi ->
           match vi.vi_body with
@@ -1066,7 +1025,7 @@ let taint_pass record =
                   s2_changed := true
               | _ -> ()))
         (List.rev ui.ui_values))
-    !pairs
+    !units
 
 let run_taint () =
   let rec loop n =
@@ -1203,7 +1162,7 @@ let run_s5 () =
   List.iter
     (fun ui ->
       if
-        (!assume_scope_lib || string_prefix ~prefix:"lib/" ui.ui_source)
+        (!assume_scope_lib || string_prefix ~prefix:"lib/" ui.ui_unit.l_source)
         && not ui.ui_in_parallel
       then begin
         (* (a) module-level mutable bindings: outside the marshaled graph *)
@@ -1218,7 +1177,7 @@ let run_s5 () =
             in
             if not (snapshot_opaque_attr attrs) then
               let scope =
-                file_level_allows ui.ui_str @ allows_of_attributes attrs
+                file_level_allows ui.ui_unit.l_str @ allows_of_attributes attrs
               in
               report_in_scope scope "S5" md.md_loc
                 (Printf.sprintf
@@ -1241,7 +1200,7 @@ let run_s5 () =
                       when guard_ty vb.vb_pat.pat_type
                            && not (snapshot_opaque_attr vb.vb_attributes) ->
                         let scope =
-                          file_level_allows ui.ui_str
+                          file_level_allows ui.ui_unit.l_str
                           @ allows_of_attributes vb.vb_attributes
                         in
                         report_in_scope scope "S5" vb.vb_pat.pat_loc
@@ -1256,7 +1215,7 @@ let run_s5 () =
                     | _ -> ())
                   vbs
             | _ -> ())
-          ui.ui_str.str_items;
+          ui.ui_unit.l_str.str_items;
         (* (b) record fields typed as OS resources *)
         List.iter
           (fun (item : Typedtree.structure_item) ->
@@ -1271,7 +1230,7 @@ let run_s5 () =
                             match core_ty_resource ld.ld_type with
                             | Some res when not (field_opaque ld) ->
                                 let scope =
-                                  file_level_allows ui.ui_str
+                                  file_level_allows ui.ui_unit.l_str
                                   @ allows_of_attributes ld.ld_attributes
                                 in
                                 report_in_scope scope "S5" ld.ld_loc
@@ -1288,88 +1247,28 @@ let run_s5 () =
                     | _ -> ())
                   decls
             | _ -> ())
-          ui.ui_str.str_items
+          ui.ui_unit.l_str.str_items
       end)
     !units
 
-(* ---------- S4: stale suppressions ---------- *)
+(* ---------- entry point ---------- *)
 
-(* Runs last: S1–S3, S5 (and the tracking re-runs of pertlint's and
-   pertalloc's rules) have already credited every attribute that earns
-   its keep. *)
-let report_stale_allows () =
-  registered_allows ()
-  |> List.filter (fun e -> !(e.a_hits) = 0)
-  |> List.sort (fun a b ->
-         compare
-           ( a.a_loc.Location.loc_start.pos_fname,
-             a.a_loc.Location.loc_start.pos_lnum )
-           ( b.a_loc.Location.loc_start.pos_fname,
-             b.a_loc.Location.loc_start.pos_lnum ))
-  |> List.iter (fun e ->
-         report_in_scope [] "S4" e.a_loc
-           (Printf.sprintf
-              "[@lint.allow \"%s\"] suppresses no diagnostic; delete the stale \
-               attribute"
-              (String.concat " " e.a_rules)))
-
-(* ---------- driver ---------- *)
-
-let () =
-  prog := "pertscan";
-  enabled_rules := List.map (fun r -> r.id) scan_rules;
-  let roots = ref [] in
-  let spec = common_spec ~known:all_rules in
-  let usage = "pertscan [options] [dir-or-cmt ...]  (default: scan .)" in
-  Arg.parse spec (fun p -> roots := p :: !roots) usage;
-  let roots = if !roots = [] then [ "." ] else List.rev !roots in
-  let user_rules = !enabled_rules in
-  let cmts =
-    collect_under ~suffix:".cmt" roots
-    |> require_nonempty ~what:".cmt files" roots
-  in
-  let impls = List.filter_map load_cmt cmts in
-  if impls = [] then begin
-    Printf.eprintf
-      "pertscan: %d .cmt file(s) under %s but none was a scannable \
-       implementation — wrong scope?\n"
-      (List.length cmts)
-      (String.concat " " roots);
-    exit 2
-  end;
-  let intfs = List.filter_map load_cmti (collect_under ~suffix:".cmti" roots) in
-  (* prepass over every unit first: the mutable-record registry and alias
-     maps must be complete before any body is analysed *)
-  let prepared = List.map (fun l -> (l, extract_unit l)) impls in
-  (* re-run pertlint's expression-local rules in tracking mode so their
-     [@lint.allow]s are credited before the stale-suppression pass *)
-  report_enabled := false;
-  enabled_rules := List.map (fun r -> r.id) all_rules;
-  List.iter (fun (l, _) -> check_file l) prepared;
-  report_enabled := true;
-  enabled_rules := user_rules;
-  (* extraction *)
-  List.iter
-    (fun (_, (ui, ctx)) ->
-      arm_file ui;
-      extract_body ui ctx;
-      collect_local_lambdas ui ctx;
-      units := ui :: !units;
-      pairs := (ui, ctx) :: !pairs)
-    prepared;
-  units := List.rev !units;
-  pairs := List.rev !pairs;
+(* Extract every unit, then run S1, S2, S3 and S5.  [prepared] pairs each
+   implementation with its [prepare] context. *)
+let run (prepared : (loaded * unit_ctx) list) (intfs : loaded_intf list) =
+  units :=
+    List.map
+      (fun (l, ctx) ->
+        let ui = extract_unit l ctx in
+        enter_file l;
+        extract_body ui;
+        collect_local_lambdas ui;
+        ui)
+      prepared;
   List.iter extract_intf intfs;
   build_tables ();
-  (* analyses; S4 must run last (see above) *)
   compute_submitters ();
   run_s1 ();
   run_taint ();
   report_unused_exports ();
-  run_s5 ();
-  (* run the allocation-effect analysis in tracking mode so A-rule
-     allows on reachable sites are credited before the stale pass *)
-  Alloc_core.run ~report:false
-    (List.map (fun (l, (_, ctx)) -> (l, ctx)) prepared);
-  report_stale_allows ();
-  finish ()
+  run_s5 ()

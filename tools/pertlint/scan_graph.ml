@@ -1,13 +1,13 @@
 (* scan_graph — the cross-module name-resolution layer shared by the
-   whole-program analyzers (pertscan, pertalloc).
+   whole-program rule families (Scan_core, Alloc_core).
 
-   Both tools work over every .cmt in scope at once and need the same
+   Both work over every .cmt in scope at once and need the same
    plumbing: normalising dune-wrapped unit names, resolving module
    aliases, telling a toplevel value from a local, and harvesting the
    per-unit context (alias map + toplevel idents) in a prepass before
-   any body is analysed.  pertscan layers race/taint/export analyses on
-   top; pertalloc layers allocation-effect summaries.  Keeping the
-   resolution rules here keeps the two analyzers' views of "which
+   any body is analysed.  Scan_core layers race/taint/export analyses on
+   top; Alloc_core layers allocation-effect summaries.  Keeping the
+   resolution rules here keeps the two families' views of "which
    function is this call naming" identical. *)
 
 (* ---------- name normalisation ---------- *)
